@@ -38,7 +38,12 @@ DataflowCore::DataflowCore(const DataflowCore& other, DataMemory& dmem,
       btb_(other.btb_),
       line_shift_(other.line_shift_) {
   copy_run_state(other);
+  // `trace` may hold more records than other's did (a snapshot resumed
+  // over a regrown arena), so end of trace is found again by reading it,
+  // not inherited. The record sequence is the same either way.
   trace_ = &trace;
+  trace_eof_ = false;
+  if (fbuf_pos_ >= fbuf_len_) refill();
 }
 
 void DataflowCore::copy_run_state(const DataflowCore& o) {

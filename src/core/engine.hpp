@@ -129,7 +129,9 @@ class CoreEngine {
 
   /// Copy of this (typically paused) core driving `dmem`/`imem` and
   /// fetching from `trace`, which the caller must position at the same
-  /// record offset as the source core's trace.
+  /// record offset as the source core's trace. `trace` may run past the
+  /// point where the source's trace ended (a longer arena of the same
+  /// records); the clone reads on to its end.
   [[nodiscard]] virtual std::unique_ptr<CoreEngine> clone_rebound(
       DataMemory& dmem, InstMemory& imem,
       workload::TraceSource& trace) const = 0;

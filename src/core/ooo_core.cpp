@@ -49,7 +49,12 @@ OooCore::OooCore(const OooCore& other, DataMemory& dmem, InstMemory& imem,
       line_shift_(other.line_shift_),
       rob_mask_(other.rob_mask_) {
   copy_run_state(other);
+  // `trace` may hold more records than other's did (a snapshot resumed
+  // over a regrown arena), so end of trace is found again by reading it,
+  // not inherited. The record sequence is the same either way.
   trace_ = &trace;
+  trace_eof_ = false;
+  if (fbuf_pos_ >= fbuf_len_) refill();
 }
 
 void OooCore::copy_run_state(const OooCore& o) {

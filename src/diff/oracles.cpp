@@ -129,11 +129,11 @@ OracleOutcome cold_vs_snapshot(OracleContext& ctx) {
   const auto arena = workload::materialize(
       *gen, cfg.max_instructions + cfg.warmup_instructions);
   const auto snap = sim::make_warmup_snapshot(cfg, arena);
-  if (snap == nullptr) return not_applicable();  // uncloneable hierarchy
+  if (snap == nullptr) return not_applicable();  // warmup not reached
 
   workload::TraceCursor cursor(arena);
   const sim::SimResult cold = sim::Simulator(cfg).run(cursor);
-  const sim::SimResult warm = sim::run_from_snapshot(cfg, *snap);
+  const sim::SimResult warm = sim::run_from_snapshot(cfg, *snap, arena);
   return compare_signatures("cold vs snapshot runs", result_signature(cold),
                             result_signature(warm));
 }

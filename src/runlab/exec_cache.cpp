@@ -1,5 +1,6 @@
 #include "runlab/exec_cache.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -40,19 +41,40 @@ std::string ExecCache::trace_key(const Job& job) {
   return job.benchmark + '|' + std::to_string(job.config.seed);
 }
 
-void ExecCache::note_demand(const Job& job) {
-  if (!cfg_.trace_cache) return;
+std::string ExecCache::snapshot_key(const Job& job) {
+  return trace_key(job) + '|' + sim::warmup_key(job.config);
+}
+
+bool ExecCache::shares_warmup(const Job& job) const {
+  return cfg_.warmup_share && active_warmup(job.config) > 0 &&
+         !is_static(job);
+}
+
+bool ExecCache::is_static(const Job& job) {
+  return job.config.filter == "static";
+}
+
+void ExecCache::raise_watermark(const Job& job) {
   const std::size_t need = needed_records(job);
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t& watermark = demand_[trace_key(job)];
   if (need > watermark) watermark = need;
 }
 
+void ExecCache::note_demand(const Job& job) {
+  if (!cfg_.trace_cache) return;
+  raise_watermark(job);
+  if (!shares_warmup(job)) return;
+  const std::string key = snapshot_key(job);
+  std::lock_guard<std::mutex> lk(mu_);
+  ++consumers_[key];
+}
+
 sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
   // Static-filter jobs run the two-phase profile/measure flow with an
   // external filter that must survive between the phases — out of scope
   // for arena/snapshot sharing.
-  if (!cfg_.trace_cache || job.config.filter == "static") {
+  if (!cfg_.trace_cache || is_static(job)) {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
     const ProfClock::time_point t0 = ProfClock::now();
     sim::SimResult result = execute_job(job);
@@ -64,11 +86,9 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
   SnapshotPtr snap;
   {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabProbe);
-    note_demand(job);
+    raise_watermark(job);
     arena = arena_for(job);
-    if (cfg_.warmup_share && active_warmup(job.config) > 0) {
-      snap = snapshot_for(job, arena);
-    }
+    if (shares_warmup(job)) snap = snapshot_for(job, arena);
   }
   if (timings != nullptr) timings->probe_ms = ms_since(probe_start);
 
@@ -79,7 +99,12 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
       std::lock_guard<std::mutex> lk(mu_);
       ++counters_.snapshot_resumes;
     }
-    sim::SimResult result = sim::run_from_snapshot(job.config, *snap);
+    // The snapshot may sit on a longer arena than this job holds (one
+    // regrown after this job fetched its arena, or an evicted arena
+    // rebuilt shorter since); either arena covers this job's window.
+    const ArenaPtr& window =
+        snap->arena()->size() > arena->size() ? snap->arena() : arena;
+    sim::SimResult result = sim::run_from_snapshot(job.config, *snap, window);
     if (timings != nullptr) {
       timings->sim_ms = ms_since(sim_start);
       timings->snapshot_resume = true;
@@ -157,19 +182,21 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
       ++counters_.trace_hits;
       fut = it->second.fut;
     } else {
+      const auto dit = demand_.find(key);
+      build_records =
+          dit != demand_.end() && dit->second > need ? dit->second : need;
       if (it != arenas_.end()) {
         // Regrow: a job arrived needing more records than the resident
-        // arena holds. The old entry leaves the cache (waiters keep it
-        // alive through their futures) and a longer one is built; the
-        // deterministic generators make the new arena a byte-identical
-        // extension of the old.
+        // arena holds. The old entry leaves the cache (waiters and
+        // snapshots keep it alive) and one at least twice as long is
+        // built, so a run of ever-longer jobs regrows a logarithmic
+        // number of times. The deterministic generators make the new
+        // arena a byte-identical extension of the old.
+        build_records = std::max(build_records, 2 * it->second.records);
         arena_bytes_ -= it->second.bytes;
         ++counters_.trace_evictions;
         arenas_.erase(it);
       }
-      const auto dit = demand_.find(key);
-      build_records =
-          dit != demand_.end() && dit->second > need ? dit->second : need;
       id = next_id_++;
       fut = prom.get_future().share();
       Entry<ArenaPtr> e;
@@ -207,35 +234,39 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
 
 ExecCache::SnapshotPtr ExecCache::snapshot_for(const Job& job,
                                                const ArenaPtr& arena) {
-  const std::string key =
-      trace_key(job) + '|' + sim::warmup_key(job.config);
-  const std::size_t need = needed_records(job);
+  const std::string key = snapshot_key(job);
 
   std::promise<SnapshotPtr> prom;
   std::shared_future<SnapshotPtr> fut;
   std::uint64_t id = 0;
   {
+    // Taking this job's declared claim and choosing among resume, build
+    // and in-place warmup happen under one lock, so every consumer of a
+    // key sees the same sequence of decisions at any worker count.
     std::lock_guard<std::mutex> lk(mu_);
+    bool last_declared = false;
+    if (const auto cit = consumers_.find(key); cit != consumers_.end()) {
+      last_declared = --cit->second == 0;
+      if (last_declared) consumers_.erase(cit);
+    }
     auto it = snaps_.find(key);
-    if (it != snaps_.end() && it->second.records >= need) {
+    if (it != snaps_.end()) {
       it->second.tick = ++lru_clock_;
       ++counters_.snapshot_hits;
       fut = it->second.fut;
+    } else if (last_declared) {
+      // No later declared job resumes this warm machine: warming up in
+      // place is cheaper than building it and copying it once.
+      return nullptr;
     } else {
-      if (it != snaps_.end()) {
-        // The cached snapshot was built over an arena too short for this
-        // job's measurement window: rebuild over the longer arena. The
-        // warmup prefix is identical, so resumed results are too.
-        snapshot_bytes_ -= it->second.bytes;
-        ++counters_.snapshot_evictions;
-        snaps_.erase(it);
-      }
+      // Another declared consumer remains, or the job was never declared
+      // (a serve request, a direct execute) and the build is a bet on
+      // one arriving.
       id = next_id_++;
       fut = prom.get_future().share();
       Entry<SnapshotPtr> e;
       e.fut = fut;
       e.id = id;
-      e.records = arena->size();
       e.tick = ++lru_clock_;
       snaps_.emplace(key, std::move(e));
       ++counters_.snapshot_builds;

@@ -2,12 +2,24 @@
 //
 // A batch run reuses two expensive artifacts across jobs: materialized
 // trace arenas (one per distinct benchmark x seed) and warmup snapshots
-// (one per distinct warmup-relevant config; see sim::warmup_key). PR 2
-// built them per-batch and threw them away with the batch. ExecCache
-// lifts that state into an object a caller may keep alive for as long as
-// it likes — the sweep-as-a-service daemon (src/serve) owns one for its
-// whole process lifetime, so every request after the first hits warm
-// arenas and warm machines.
+// (one per distinct trace x warmup-relevant config; see sim::warmup_key).
+// ExecCache holds that state in an object a caller may keep alive for as
+// long as it likes — the sweep-as-a-service daemon (src/serve) owns one
+// for its whole process lifetime, so every request after the first hits
+// warm arenas and warm machines.
+//
+// A snapshot costs a warmup plus a deep copy of the machine per resume,
+// and stays resident; warming up in place costs only the warmup. So a
+// snapshot is built only where it will be reused. note_demand() counts
+// the declared consumers of each snapshot key, and execute() takes one
+// off and then: resumes from a snapshot that is resident or being built;
+// builds one when another declared consumer remains; warms up in place
+// when it is the key's last declared consumer; and builds one anyway for
+// a job that was never declared (every serve request), betting that a
+// later request shares its warmup. A snapshot stays valid when its
+// arena is regrown for a longer job: the regrown arena extends the old
+// one record for record, and the job resumes over the longer of the two.
+// Arenas regrow to at least twice their length.
 //
 // A cache that outlives a batch must also be bounded: both stores carry
 // an optional LRU byte budget (trace_cache_mb= / snapshot_cache_mb= in
@@ -88,18 +100,21 @@ class ExecCache {
   ExecCache(const ExecCache&) = delete;
   ExecCache& operator=(const ExecCache&) = delete;
 
-  /// Record that `job` will run soon, so the arena for its (benchmark,
-  /// seed) is sized for the hungriest declared consumer in one build.
-  /// Optional — execute() sizes on demand — but a batch that declares
-  /// all jobs up front builds each arena exactly once instead of
-  /// regrowing it when a longer job arrives.
+  /// Record that `job` will run soon, once: the arena for its
+  /// (benchmark, seed) is sized for the hungriest declared consumer in
+  /// one build, and its warmup snapshot is built only if a second
+  /// declared job will resume it. Optional — execute() sizes on demand
+  /// and builds snapshots speculatively for undeclared jobs — but a batch
+  /// that declares all jobs up front builds each arena exactly once and
+  /// no snapshot that only one job would use.
   void note_demand(const Job& job);
 
-  /// Execute one job through the caches: arena cursor + warmup-snapshot
-  /// resume when possible, plain execute_job otherwise (trace_cache off,
-  /// or a static-filter job whose two-phase flow is out of scope).
-  /// Throws what the simulation throws. `timings` (optional) receives
-  /// wall-clock telemetry for the call.
+  /// Execute one job through the caches: arena cursor, plus a
+  /// warmup-snapshot resume where the rule in the file comment picks
+  /// one; plain execute_job otherwise (trace_cache off, or a
+  /// static-filter job whose two-phase flow is out of scope). Throws what
+  /// the simulation throws. `timings` (optional) receives wall-clock
+  /// telemetry for the call.
   sim::SimResult execute(const Job& job, ExecTimings* timings = nullptr);
 
   [[nodiscard]] ExecCacheStats stats() const;
@@ -112,7 +127,7 @@ class ExecCache {
   struct Entry {
     std::shared_future<T> fut;
     std::uint64_t id = 0;       ///< build identity (bytes arrive late)
-    std::size_t records = 0;    ///< arena records this entry covers
+    std::size_t records = 0;    ///< records an arena entry covers
     std::size_t bytes = 0;      ///< 0 until the build completes
     std::uint64_t tick = 0;     ///< LRU clock at last access
   };
@@ -121,6 +136,12 @@ class ExecCache {
   /// active warmup).
   static std::size_t needed_records(const Job& job);
   static std::string trace_key(const Job& job);
+  static std::string snapshot_key(const Job& job);
+  static bool is_static(const Job& job);
+  /// Whether `job` may resume from (or build) a warmup snapshot.
+  [[nodiscard]] bool shares_warmup(const Job& job) const;
+  /// Raise the arena-size watermark of `job`'s trace to its need.
+  void raise_watermark(const Job& job);
 
   ArenaPtr arena_for(const Job& job);
   SnapshotPtr snapshot_for(const Job& job, const ArenaPtr& arena);
@@ -142,6 +163,8 @@ class ExecCache {
   std::uint64_t next_id_ = 1;   // PPF_GUARDED_BY(mu_)
   std::uint64_t lru_clock_ = 0;  // PPF_GUARDED_BY(mu_)
   std::unordered_map<std::string, std::size_t> demand_;  // PPF_GUARDED_BY(mu_)
+  /// Declared consumers per snapshot key not yet executed; erased at 0.
+  std::unordered_map<std::string, std::size_t> consumers_;  // PPF_GUARDED_BY(mu_)
   std::unordered_map<std::string, Entry<ArenaPtr>> arenas_;  // PPF_GUARDED_BY(mu_)
   std::unordered_map<std::string, Entry<SnapshotPtr>> snaps_;  // PPF_GUARDED_BY(mu_)
   std::size_t arena_bytes_ = 0;  // PPF_GUARDED_BY(mu_) finalized resident sum

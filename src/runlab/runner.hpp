@@ -81,9 +81,11 @@ struct RunOptions {
   /// Run the warmup phase once per distinct warmup-relevant config (see
   /// sim::warmup_key) and resume each matching job from a clone of the
   /// paused machine. Only fires between jobs whose configs agree on
-  /// everything but max_instructions / energy prices; results are
-  /// byte-identical to the cold path (tests/sim/snapshot_test.cpp).
-  /// Requires trace_cache (snapshots resume from a seekable arena).
+  /// everything but max_instructions / energy prices, and only where two
+  /// or more such jobs share a trace (a lone job warms up in place;
+  /// ExecCache); results are byte-identical to the cold path
+  /// (tests/sim/snapshot_test.cpp). Requires trace_cache (snapshots
+  /// resume from a seekable arena).
   bool warmup_share = true;
   /// LRU byte budgets for the per-batch caches, in MB; 0 = unbounded.
   /// Only consulted when `cache` is null (a shared cache carries its own

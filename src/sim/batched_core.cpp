@@ -67,10 +67,13 @@ BatchedCore::BatchedCore(const BatchedCore& other, MemoryHierarchy& mem,
     cursor_ = dynamic_cast<workload::TraceCursor*>(&trace);
     PPF_CHECK_MSG(cursor_ != nullptr,
                   "arena-bound batched clone requires a TraceCursor");
+    // The cursor may read a longer arena than other's (a snapshot resumed
+    // after its arena was regrown); decode runs to the new arena's end.
     arena_ = cursor_->arena();
     view_ = arena_->view();
-    PPF_CHECK_MSG(cursor_->pos() == idx_, "clone cursor mispositioned");
-    PPF_CHECK(win_end_ <= arena_->size());
+    win_end_ = arena_->size();
+    PPF_CHECK_MSG(cursor_->pos() == idx_ && idx_ <= win_end_,
+                  "clone cursor mispositioned");
   } else {
     // Stream mode: the staging window was copied by copy_run_state; the
     // pointers must target *our* copy, not other's.

@@ -55,7 +55,8 @@ class BatchedCore final : public core::CoreEngine {
   BatchedCore(core::CoreConfig cfg, MemoryHierarchy& mem);
   /// Rebinding copy: duplicate `other` (typically paused at the warmup
   /// boundary) against a different hierarchy and trace. The caller
-  /// positions `trace` at the same record offset as other's trace.
+  /// positions `trace` at the same record offset as other's trace; in
+  /// arena mode `trace` may run over a longer arena than other's.
   BatchedCore(const BatchedCore& other, MemoryHierarchy& mem,
               workload::TraceSource& trace);
 

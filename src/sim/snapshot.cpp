@@ -1,7 +1,6 @@
 #include "sim/snapshot.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "sim/batched_core.hpp"
@@ -71,8 +70,6 @@ std::string warmup_key(const SimConfig& cfg) {
   return os.str();
 }
 
-std::size_t WarmupSnapshot::arena_size() const { return arena_->size(); }
-
 std::size_t WarmupSnapshot::estimated_bytes() const {
   // Tag/meta overhead per line plus the data arrays themselves, the
   // history table, and per-entry queue/ROB state. Deliberately a config
@@ -116,30 +113,24 @@ std::shared_ptr<const WarmupSnapshot> make_warmup_snapshot(
   snap->engine_->run_until_dispatched(warmup);
   if (snap->engine_->dispatched() < warmup) return nullptr;
   snap->warmup_ = warmup;
-
-  // Probe cloneability once up front so run_from_snapshot never throws on
-  // a hierarchy whose filter/prefetchers lack clone_rebound.
-  try {
-    MemoryHierarchy probe(*snap->mem_);
-    workload::TraceCursor probe_cursor(snap->arena_, snap->cursor_->pos());
-    if (snap->engine_->clone_rebound(probe, probe, probe_cursor) == nullptr) {
-      return nullptr;
-    }
-  } catch (const std::runtime_error&) {
-    return nullptr;
-  }
   return snap;
 }
 
-SimResult run_from_snapshot(const SimConfig& cfg, const WarmupSnapshot& snap) {
+SimResult run_from_snapshot(
+    const SimConfig& cfg, const WarmupSnapshot& snap,
+    const std::shared_ptr<const workload::MaterializedTrace>& arena) {
   maybe_inject_fault(cfg);
   PPF_CHECK_MSG(warmup_key(cfg) == warmup_key(snap.config()),
                 "snapshot reused across warmup-incompatible configs");
   PPF_CHECK_MSG(cfg.warmup_instructions < cfg.max_instructions,
                 "snapshot resume requires an active warmup");
+  PPF_CHECK_MSG(arena != nullptr && arena->size() >= snap.arena_->size(),
+                "snapshot resumed over an arena shorter than its own");
+  PPF_CHECK_MSG(arena->extends(*snap.arena_),
+                "snapshot resumed over a different trace");
 
   MemoryHierarchy mem(*snap.mem_);
-  workload::TraceCursor cursor(snap.arena_, snap.cursor_->pos());
+  workload::TraceCursor cursor(arena, snap.cursor_->pos());
   const auto engine = snap.engine_->clone_rebound(mem, mem, cursor);
   PPF_CHECK(engine != nullptr);
 

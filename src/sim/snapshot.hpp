@@ -9,6 +9,11 @@
 // same instant at which the cold path fires its warmup callback — and
 // each job then deep-copies the paused machine (MemoryHierarchy rebinding
 // copy + CoreEngine::clone_rebound) and runs only its measurement window.
+// A snapshot pays a warmup plus one deep copy per resume, so it is worth
+// building only when two or more jobs resume it; runlab::ExecCache makes
+// that call. A job may read its window from a longer arena than the one
+// the snapshot was built over: the generators are deterministic, so a
+// regrown arena extends the old one record for record.
 //
 // Sharing rule: a snapshot made from config A may serve a job with config
 // B iff warmup_key(A) == warmup_key(B). The key serialises every
@@ -39,10 +44,12 @@ class WarmupSnapshot {
   /// Trace records consumed at the pause point (dispatched + records
   /// still sitting in the core's fetch buffer).
   [[nodiscard]] std::size_t trace_pos() const { return cursor_->pos(); }
-  /// Length of the arena this snapshot was built over. A resumed job
-  /// reads the measurement window from this same arena, so a job needing
-  /// more records than this must rebuild the snapshot on a longer arena.
-  [[nodiscard]] std::size_t arena_size() const;
+  /// The arena this snapshot was built over. A resumed job reads its
+  /// window from this arena or from any longer one that extends it.
+  [[nodiscard]] const std::shared_ptr<const workload::MaterializedTrace>&
+  arena() const {
+    return arena_;
+  }
   /// Approximate resident bytes of the frozen machine (cache cap /
   /// eviction decisions). Derived from the config (SRAM arrays dominate),
   /// not measured — precision is irrelevant, monotonicity is not.
@@ -51,7 +58,9 @@ class WarmupSnapshot {
  private:
   friend std::shared_ptr<const WarmupSnapshot> make_warmup_snapshot(
       const SimConfig&, std::shared_ptr<const workload::MaterializedTrace>);
-  friend SimResult run_from_snapshot(const SimConfig&, const WarmupSnapshot&);
+  friend SimResult run_from_snapshot(
+      const SimConfig&, const WarmupSnapshot&,
+      const std::shared_ptr<const workload::MaterializedTrace>&);
 
   WarmupSnapshot() = default;
 
@@ -70,19 +79,23 @@ class WarmupSnapshot {
 
 /// Run the warmup phase of `cfg` over `arena` once and freeze the machine
 /// at the boundary. Returns nullptr when there is nothing to share:
-/// warmup is inactive (warmup_instructions == 0 or >= max_instructions),
-/// the arena is too short to cover warmup, or the configured
-/// filter/prefetchers do not support cloning.
+/// warmup is inactive (warmup_instructions == 0 or >= max_instructions)
+/// or the arena is too short to cover warmup. Cloneability is not probed
+/// here: a filter or prefetcher without clone_rebound makes
+/// run_from_snapshot throw std::runtime_error naming it.
 [[nodiscard]] std::shared_ptr<const WarmupSnapshot> make_warmup_snapshot(
     const SimConfig& cfg,
     std::shared_ptr<const workload::MaterializedTrace> arena);
 
-/// Clone the paused machine and run the measurement window of `cfg`.
-/// `cfg` must satisfy warmup_key(cfg) == warmup_key(snap.config());
-/// max_instructions and energy may differ. Produces byte-identical
-/// SimResults to Simulator::run on the same trace (guarded by
-/// tests/sim/snapshot_test.cpp).
-[[nodiscard]] SimResult run_from_snapshot(const SimConfig& cfg,
-                                          const WarmupSnapshot& snap);
+/// Clone the paused machine and run the measurement window of `cfg`,
+/// reading it from `arena`: the snapshot's own arena or a longer one of
+/// the same trace (MaterializedTrace::extends); anything else fails a
+/// PPF_CHECK. `cfg` must satisfy warmup_key(cfg) ==
+/// warmup_key(snap.config()); max_instructions and energy may differ.
+/// Produces byte-identical SimResults to Simulator::run on `arena`
+/// (guarded by tests/sim/snapshot_test.cpp).
+[[nodiscard]] SimResult run_from_snapshot(
+    const SimConfig& cfg, const WarmupSnapshot& snap,
+    const std::shared_ptr<const workload::MaterializedTrace>& arena);
 
 }  // namespace ppf::sim

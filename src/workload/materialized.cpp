@@ -58,6 +58,23 @@ std::size_t MaterializedTrace::bytes() const {
   return size() * (3 * sizeof(std::uint64_t) + 5 * sizeof(std::uint8_t));
 }
 
+bool MaterializedTrace::extends(const MaterializedTrace& prefix) const {
+  if (this == &prefix) return true;
+  if (name_ != prefix.name_ || size() < prefix.size()) return false;
+  if (prefix.size() == 0) return true;
+  constexpr std::size_t kSamples = 64;
+  const std::size_t last = prefix.size() - 1;
+  for (std::size_t k = 0; k <= kSamples; ++k) {
+    const std::size_t p = last * k / kSamples;
+    TraceRecord mine;
+    TraceRecord theirs;
+    gather(p, &mine, 1);
+    prefix.gather(p, &theirs, 1);
+    if (mine != theirs) return false;
+  }
+  return true;
+}
+
 void MaterializedTrace::gather(std::size_t pos, TraceRecord* out,
                                std::size_t n) const {
   PPF_ASSERT(pos + n <= size());

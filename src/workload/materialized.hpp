@@ -33,6 +33,13 @@ class MaterializedTrace {
   /// Approximate resident bytes (arena sizing / cache-cap decisions).
   [[nodiscard]] std::size_t bytes() const;
 
+  /// True when this arena can stand in for `prefix`: same trace name, at
+  /// least as many records, and equal records at a fixed sample of
+  /// `prefix`'s positions (its first and last record and evenly spaced
+  /// ones between). A spot check in O(1), not a proof: it tells a regrown
+  /// arena of the same (benchmark, seed) from another trace.
+  [[nodiscard]] bool extends(const MaterializedTrace& prefix) const;
+
   /// Copy records [pos, pos+n) into `out`; n must not overrun size().
   void gather(std::size_t pos, TraceRecord* out, std::size_t n) const;
 

@@ -1,5 +1,6 @@
 #include "workload/trace_binary.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -89,8 +90,12 @@ std::vector<TraceRecord> read_trace_binary(std::istream& is) {
     throw std::runtime_error("not a ppfb binary trace");
   }
   const std::uint64_t count = get_varint(is);
+  // The count is read from the input, so it may not size an allocation:
+  // a 10-byte header could ask for any amount. Reserve at most a small
+  // cap and let push_back grow the vector as records actually arrive.
+  constexpr std::uint64_t kReserveCap = std::uint64_t{1} << 16;
   std::vector<TraceRecord> out;
-  out.reserve(count);
+  out.reserve(static_cast<std::size_t>(std::min(count, kReserveCap)));
   Pc prev_pc = 0;
   Addr prev_addr = 0;
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -14,6 +14,12 @@ struct Combo {
   std::string kind;
 };
 
+// Without a printer gtest dumps the object's bytes, string pointers
+// included, into the listed test name, which then changes run to run.
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.bench << '/' << c.kind;
+}
+
 class EndToEnd : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(EndToEnd, AccountingInvariantsHold) {

@@ -44,7 +44,7 @@ sim::SimResult run_once(const sim::SimConfig& cfg, const std::string& bench,
   if (warmup_share) {
     const auto snap = sim::make_warmup_snapshot(cfg, arena);
     EXPECT_NE(snap, nullptr);
-    if (snap != nullptr) return sim::run_from_snapshot(cfg, *snap);
+    if (snap != nullptr) return sim::run_from_snapshot(cfg, *snap, arena);
   }
   workload::TraceCursor cursor(arena);
   return sim::Simulator(cfg).run(cursor);

@@ -3,8 +3,12 @@
 // — a rebuilt arena or warmup snapshot is byte-identical to the evicted
 // one, so a budget only ever costs rebuild time. Also covered: sharing
 // one cache across run_jobs batches (the daemon's usage), demand-sized
-// arena builds, and regrow-on-demand when a longer job arrives.
+// arena builds, regrow-on-demand when a longer job arrives, and the
+// snapshot policy: build a snapshot only for a key with a second
+// declared consumer (or an undeclared job), warm up in place otherwise,
+// and keep snapshots usable across arena regrowth.
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +42,12 @@ SweepSpec eviction_sweep() {
   spec.base.warmup_instructions = 10'000;
   spec.benchmarks = {"mcf", "em3d", "gzip"};
   spec.seeds = {1, 2};
+  // Two window lengths share each warmup key, so every snapshot key has
+  // two declared consumers and each batch builds its snapshots.
+  spec.variants = {
+      {"short", [](sim::SimConfig& c) { c.max_instructions = 20'000; }},
+      {"long", [](sim::SimConfig& c) { c.max_instructions = 30'000; }},
+  };
   return spec;
 }
 
@@ -143,6 +153,138 @@ TEST(ExecCache, NoteDemandSizesTheArenaOnce) {
   EXPECT_EQ(st.trace_builds, 1u);       // sized for `large` up front
   EXPECT_EQ(st.trace_evictions, 0u);    // so no regrow was needed
   EXPECT_EQ(st.trace_hits, 1u);
+}
+
+Job with_window(Job job, std::uint64_t instructions) {
+  job.config.max_instructions = instructions;
+  return job;
+}
+
+TEST(ExecCacheSnapshots, KeyDeclaredOnceWarmsUpInPlace) {
+  ExecCache cache;
+  const Job job = cached_job("mcf", 6, 20'000, 10'000);
+  cache.note_demand(job);
+  EXPECT_EQ(diff::result_signature(cache.execute(job)),
+            diff::result_signature(execute_job(job)));
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 1u);
+  EXPECT_EQ(st.snapshot_builds, 0u);
+  EXPECT_EQ(st.snapshot_resumes, 0u);
+  EXPECT_EQ(st.snapshot_bytes, 0u);
+}
+
+TEST(ExecCacheSnapshots, KeyDeclaredTwiceBuildsOnceAndResumesBoth) {
+  ExecCache cache;
+  const Job a = cached_job("em3d", 6, 20'000, 10'000);
+  const Job b = with_window(a, 30'000);  // same warmup key
+  cache.note_demand(a);
+  cache.note_demand(b);
+  EXPECT_EQ(diff::result_signature(cache.execute(a)),
+            diff::result_signature(execute_job(a)));
+  EXPECT_EQ(diff::result_signature(cache.execute(b)),
+            diff::result_signature(execute_job(b)));
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.snapshot_builds, 1u);
+  EXPECT_EQ(st.snapshot_hits, 1u);
+  EXPECT_EQ(st.snapshot_resumes, 2u);
+}
+
+TEST(ExecCacheSnapshots, UndeclaredExecuteStillBuildsASnapshot) {
+  ExecCache cache;
+  const Job job = cached_job("gzip", 6, 20'000, 10'000);
+  EXPECT_EQ(diff::result_signature(cache.execute(job)),
+            diff::result_signature(execute_job(job)));
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.snapshot_builds, 1u);
+  EXPECT_EQ(st.snapshot_resumes, 1u);
+  EXPECT_GT(st.snapshot_bytes, 0u);
+}
+
+TEST(ExecCacheSnapshots, CountersAreTheSameAtAnyWorkerCount) {
+  // Keys with two declared consumers (the two windows) and keys with one
+  // (the nsp_degree variant has a warmup key of its own).
+  SweepSpec spec = eviction_sweep();
+  spec.filters = {"pa", "pc"};
+  spec.variants.push_back(
+      {"nsp1", [](sim::SimConfig& c) { c.nsp_degree = 1; }});
+  const auto run = [&](std::size_t workers) {
+    ExecCache cache;
+    RunOptions opts = with_workers(workers);
+    opts.cache = &cache;
+    const RunReport rep = run_sweep(spec, opts);
+    EXPECT_EQ(rep.telemetry.failed_jobs, 0u);
+    return std::make_pair(to_json(rep), cache.stats());
+  };
+  const auto [json1, st1] = run(1);
+  const auto [json8, st8] = run(8);
+  EXPECT_EQ(json1, json8);
+  // 2 filters x 6 traces: 12 two-consumer keys and 12 one-consumer keys.
+  EXPECT_EQ(st1.snapshot_builds, 12u);
+  EXPECT_EQ(st1.snapshot_hits, 12u);
+  EXPECT_EQ(st1.snapshot_resumes, 24u);
+  EXPECT_EQ(st1.trace_builds, 6u);
+  EXPECT_EQ(st8.trace_builds, st1.trace_builds);
+  EXPECT_EQ(st8.trace_hits, st1.trace_hits);
+  EXPECT_EQ(st8.trace_evictions, st1.trace_evictions);
+  EXPECT_EQ(st8.snapshot_builds, st1.snapshot_builds);
+  EXPECT_EQ(st8.snapshot_hits, st1.snapshot_hits);
+  EXPECT_EQ(st8.snapshot_evictions, st1.snapshot_evictions);
+  EXPECT_EQ(st8.snapshot_resumes, st1.snapshot_resumes);
+  EXPECT_EQ(st8.trace_bytes, st1.trace_bytes);
+  EXPECT_EQ(st8.snapshot_bytes, st1.snapshot_bytes);
+}
+
+TEST(ExecCacheSnapshots, SnapshotSurvivesArenaRegrowth) {
+  // Undeclared, as serve requests are: the short job builds a snapshot
+  // over its arena; the long job regrows the arena and still resumes
+  // from that snapshot, reading its window from the longer arena.
+  ExecCache cache;
+  const Job short_job = cached_job("mcf", 9, 20'000, 10'000);
+  const Job long_job = with_window(short_job, 50'000);
+  EXPECT_EQ(diff::result_signature(cache.execute(short_job)),
+            diff::result_signature(execute_job(short_job)));
+  EXPECT_EQ(diff::result_signature(cache.execute(long_job)),
+            diff::result_signature(execute_job(long_job)));
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 2u);
+  EXPECT_EQ(st.snapshot_builds, 1u);
+  EXPECT_EQ(st.snapshot_hits, 1u);
+  EXPECT_EQ(st.snapshot_resumes, 2u);
+  EXPECT_EQ(st.snapshot_evictions, 0u);
+}
+
+TEST(ExecCacheSnapshots, ArenasRegrowAtLeastTwofold) {
+  ExecCache cache;
+  const Job job = cached_job("gap", 9, 20'000, 0);
+  (void)cache.execute(job);                        // 20k records
+  (void)cache.execute(with_window(job, 25'000));   // regrows to 40k
+  (void)cache.execute(with_window(job, 35'000));   // fits in 40k
+  (void)cache.execute(with_window(job, 100'000));  // regrows to 100k
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 3u);
+  EXPECT_EQ(st.trace_hits, 1u);
+}
+
+TEST(ExecCacheSnapshots, ResumeReadsTheSnapshotsArenaWhenItIsLonger) {
+  // The pc snapshot is built over an arena regrown to 60k records; after
+  // that arena is evicted, a short pc job gets a rebuilt 40k arena (its
+  // demand watermark) and must read its window from the snapshot's
+  // longer arena instead.
+  ExecCacheConfig cfg;
+  cfg.trace_budget_bytes = 1;
+  ExecCache cache(cfg);
+  const Job pa_short = cached_job("mcf", 4, 20'000, 10'000);
+  Job pc_long = with_window(pa_short, 30'000);
+  pc_long.config.filter = "pc";
+  const Job pc_short = with_window(pc_long, 20'000);
+  (void)cache.execute(pa_short);                          // 30k arena
+  (void)cache.execute(pc_long);                           // regrown to 60k
+  (void)cache.execute(cached_job("gzip", 4, 20'000, 0));  // evicts mcf's
+  EXPECT_EQ(diff::result_signature(cache.execute(pc_short)),
+            diff::result_signature(execute_job(pc_short)));
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 4u);
+  EXPECT_EQ(st.snapshot_hits, 1u);
 }
 
 }  // namespace

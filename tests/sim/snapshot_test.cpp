@@ -4,6 +4,9 @@
 // optimisation ships behind.
 #include "sim/snapshot.hpp"
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "filter/filter.hpp"
@@ -42,7 +45,7 @@ TEST_P(SnapshotFilterTest, WarmPathMatchesColdPathExactly) {
 
   const auto snap = make_warmup_snapshot(cfg, arena);
   ASSERT_NE(snap, nullptr);
-  const SimResult warm = run_from_snapshot(cfg, *snap);
+  const SimResult warm = run_from_snapshot(cfg, *snap, arena);
 
   expect_identical(cold, warm);
 }
@@ -65,7 +68,7 @@ TEST(Snapshot, DataflowCoreMatchesColdPath) {
 
   const auto snap = make_warmup_snapshot(cfg, arena);
   ASSERT_NE(snap, nullptr);
-  const SimResult warm = run_from_snapshot(cfg, *snap);
+  const SimResult warm = run_from_snapshot(cfg, *snap, arena);
 
   expect_identical(cold, warm);
 }
@@ -81,9 +84,78 @@ TEST(Snapshot, OneSnapshotServesDifferentWindowLengths) {
     cfg.max_instructions = max;
     workload::TraceCursor cold_cursor(arena);
     const SimResult cold = Simulator(cfg).run(cold_cursor);
-    const SimResult warm = run_from_snapshot(cfg, *snap);
+    const SimResult warm = run_from_snapshot(cfg, *snap, arena);
     expect_identical(cold, warm);
   }
+}
+
+// A snapshot built over a short arena resumes over a longer arena of the
+// same (bench, seed) — what runlab does after regrowing an arena for a
+// longer job — exactly as the cold path runs on the longer arena. The
+// tiny case ends the short arena inside the reference engines' 64-record
+// read-ahead at the pause, so the clone must find more records past it.
+struct RegrowCase {
+  const char* name;
+  CoreModel model;
+  EngineMode engine;
+  std::uint64_t warmup;
+  std::uint64_t short_window;
+};
+
+void PrintTo(const RegrowCase& c, std::ostream* os) { *os << c.name; }
+
+class SnapshotRegrowTest : public ::testing::TestWithParam<RegrowCase> {};
+
+TEST_P(SnapshotRegrowTest, ResumeOverLongerArenaMatchesColdPath) {
+  const RegrowCase& c = GetParam();
+  SimConfig base = quick_cfg("pc");
+  base.core_model = c.model;
+  base.engine = c.engine;
+  base.warmup_instructions = c.warmup;
+  base.max_instructions = c.short_window;
+  const auto short_arena = arena_for("gzip", 5, c.warmup + c.short_window);
+  const auto snap = make_warmup_snapshot(base, short_arena);
+  ASSERT_NE(snap, nullptr);
+
+  SimConfig cfg = base;
+  cfg.max_instructions = 60'000;
+  const auto long_arena = arena_for("gzip", 5, c.warmup + 60'000);
+  workload::TraceCursor cold_cursor(long_arena);
+  const SimResult cold = Simulator(cfg).run(cold_cursor);
+  expect_identical(cold, run_from_snapshot(cfg, *snap, long_arena));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SnapshotRegrowTest,
+    ::testing::Values(
+        RegrowCase{"batched", CoreModel::Occupancy, EngineMode::Batched,
+                   20'000, 30'000},
+        RegrowCase{"reference", CoreModel::Occupancy, EngineMode::Reference,
+                   20'000, 30'000},
+        RegrowCase{"dataflow", CoreModel::Dataflow, EngineMode::Batched,
+                   20'000, 30'000},
+        RegrowCase{"batched_tiny", CoreModel::Occupancy, EngineMode::Batched,
+                   20, 30},
+        RegrowCase{"reference_tiny", CoreModel::Occupancy,
+                   EngineMode::Reference, 20, 30},
+        RegrowCase{"dataflow_tiny", CoreModel::Dataflow, EngineMode::Batched,
+                   20, 30}),
+    [](const ::testing::TestParamInfo<RegrowCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(SnapshotDeathTest, ResumeOverAnotherTraceOrShorterArenaFails) {
+  const SimConfig cfg = quick_cfg("pa");
+  const auto arena = arena_for("mcf", 7, 80'000);
+  const auto snap = make_warmup_snapshot(cfg, arena);
+  ASSERT_NE(snap, nullptr);
+  const auto resume_over = [&](const char* bench, std::uint64_t seed,
+                               std::size_t records) {
+    (void)run_from_snapshot(cfg, *snap, arena_for(bench, seed, records));
+  };
+  EXPECT_DEATH(resume_over("mcf", 8, 80'000), "different trace");
+  EXPECT_DEATH(resume_over("em3d", 7, 80'000), "different trace");
+  EXPECT_DEATH(resume_over("mcf", 7, 79'999), "shorter");
 }
 
 TEST(Snapshot, InactiveWarmupYieldsNoSnapshot) {

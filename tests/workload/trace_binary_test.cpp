@@ -74,6 +74,21 @@ TEST(BinaryTrace, RejectsTruncatedBody) {
   EXPECT_THROW(read_trace_binary(cut), std::runtime_error);
 }
 
+TEST(BinaryTrace, HugeRecordCountWithoutRecordsIsTruncated) {
+  // The header's count must not size an allocation: magic plus a count
+  // of 2^62 and no records is a truncated trace, not a length_error or
+  // bad_alloc.
+  std::stringstream ss;
+  ss.write("ppfbtr02", 8);
+  put_varint(ss, std::uint64_t{1} << 62);
+  try {
+    (void)read_trace_binary(ss);
+    FAIL() << "read_trace_binary accepted a trace with no records";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "truncated binary trace");
+  }
+}
+
 TEST(BinaryTrace, PreservesFlags) {
   std::vector<TraceRecord> v;
   TraceRecord serial{0x400000, InstKind::Load, 0x1000, 0, false};

@@ -53,8 +53,8 @@ int usage(const char* argv0) {
       << "  trace_cache=0|1 — materialize each distinct trace once and share "
          "it across jobs (default 1; results identical either way)\n"
       << "  warmup_share=0|1 — run warmup once per distinct warmup-relevant "
-         "config and clone the warm machine into matching jobs (default 1; "
-         "results identical either way)\n"
+         "config and clone the warm machine into matching jobs, where two or "
+         "more share it (default 1; results identical either way)\n"
       << "  trace_cache_mb=N — LRU byte budget for resident trace arenas "
          "(default 0 = unbounded; eviction never changes results)\n"
       << "  snapshot_cache_mb=N — LRU byte budget for warmup snapshots "

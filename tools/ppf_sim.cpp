@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       std::shared_ptr<const sim::WarmupSnapshot> snap;
       if (warmup_share) snap = sim::make_warmup_snapshot(cfg, arena);
       if (snap != nullptr) {
-        r = sim::run_from_snapshot(cfg, *snap);
+        r = sim::run_from_snapshot(cfg, *snap, arena);
       } else {
         workload::TraceCursor cursor(arena);
         r = sim::Simulator(cfg).run(cursor);
