@@ -119,13 +119,11 @@ std::string config_signature(const sim::SimConfig& cfg,
   return os.str();
 }
 
-std::string config_digest(const sim::SimConfig& cfg,
-                          const std::string& benchmark) {
-  const std::string sig = config_signature(cfg, benchmark);
-  // FNV-1a over the signature bytes, then a mix64 finalizer: a cheap,
-  // process-stable 64-bit digest with fixed-width hex rendering.
+std::string digest_hex(const std::string& bytes) {
+  // FNV-1a over the bytes, then a mix64 finalizer: a cheap, process-stable
+  // 64-bit digest with fixed-width hex rendering.
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : sig) {
+  for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
@@ -134,6 +132,11 @@ std::string config_digest(const sim::SimConfig& cfg,
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
+}
+
+std::string config_digest(const sim::SimConfig& cfg,
+                          const std::string& benchmark) {
+  return digest_hex(config_signature(cfg, benchmark));
 }
 
 std::string first_divergence(const std::string& lhs, const std::string& rhs) {

@@ -46,8 +46,11 @@ std::string first_divergence(const std::string& lhs, const std::string& rhs);
 std::string config_signature(const sim::SimConfig& cfg,
                              const std::string& benchmark);
 
-/// Short fixed-width hex digest of config_signature (stable across
-/// processes; common/hash.hpp mix). Collision-safe enough for telemetry
+/// 16-hex-digit digest of `bytes`: FNV-1a, then the common/hash.hpp
+/// mix64 finalizer. Stable across processes and builds.
+std::string digest_hex(const std::string& bytes);
+
+/// digest_hex of config_signature. Collision-safe enough for telemetry
 /// labels; the memo cache keys on the full string, never the digest.
 std::string config_digest(const sim::SimConfig& cfg,
                           const std::string& benchmark);
