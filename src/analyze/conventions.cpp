@@ -306,7 +306,7 @@ void check_hot_loop_virtual(const SourceFile& f,
            "call through abstract interface handle '" + t.text +
                "' inside a ppf:hot region (devirtualize or mark the "
                "slow path // ppf:cold)",
-           "the batched stage kernels' speedup rests on concrete "
+           "the stage kernels' speed rests on concrete "
            "calls in the cycle loop"});
     }
   }

@@ -187,9 +187,15 @@ std::vector<FunctionDef> index_functions(const SourceFile& f,
           continue;
         }
       }
-      // Collect the qualified chain ending at the name.
+      // Collect the qualified chain ending at the name. A template-id
+      // qualifier (`OooCore<Mem>::cycle`) names its template.
+      const auto skip_template_args = [&](std::size_t at) {
+        if (!is_punct(at, "<")) return at;
+        const std::size_t past = skip_trivia(skip_balanced(at, "<", ">"));
+        return is_punct(past, "::") ? past : at;
+      };
       std::vector<std::string> chain{toks[name_i].text};
-      std::size_t j = skip_trivia(name_i + 1);
+      std::size_t j = skip_template_args(skip_trivia(name_i + 1));
       while (is_punct(j, "::")) {
         std::size_t k = skip_trivia(j + 1);
         bool k_dtor = false;
@@ -200,7 +206,7 @@ std::vector<FunctionDef> index_functions(const SourceFile& f,
         if (k < toks.size() && toks[k].kind == TokKind::Ident) {
           chain.push_back((k_dtor ? "~" : "") + toks[k].text);
           dtor = dtor || k_dtor;
-          j = skip_trivia(k + 1);
+          j = skip_template_args(skip_trivia(k + 1));
         } else {
           break;
         }

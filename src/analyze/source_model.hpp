@@ -48,7 +48,7 @@ struct SourceFile {
 
 struct FunctionDef {
   std::string name;        ///< unqualified ("cycle", "~Cache")
-  std::string qual;        ///< qualified tail ("BatchedCore::cycle")
+  std::string qual;        ///< qualified tail ("OooCore::cycle")
   std::string class_name;  ///< enclosing/explicit class, if any
   std::size_t file = 0;    ///< index into Project::files
   std::size_t tok_begin = 0;  ///< body span [tok_begin, tok_end)

@@ -2,8 +2,6 @@
 
 #include "check/check.hpp"
 #include "common/assert.hpp"
-#include "core/dataflow_core.hpp"
-#include "core/ooo_core.hpp"
 #include "obs/metrics.hpp"
 
 namespace ppf::core {
@@ -28,9 +26,8 @@ void CoreEngine::register_core_counters(obs::MetricRegistry& reg,
                   [&res] { return res.lsq_full_stall_cycles; });
   reg.add_counter("core.fetch_stall_cycles",
                   [&res] { return res.fetch_stall_cycles; });
-  // Stage-kernel record counts (ppf.telemetry stages breakdown). Both
-  // occupancy engines increment these at identical semantic points, so
-  // the obs signature stays byte-identical across engine=.
+  // Stage-kernel record counts (ppf.telemetry stages breakdown);
+  // deterministic, so they are part of the obs signature.
   reg.add_counter("core.stage.retire.records",
                   [&res] { return res.stages.retire_records; });
   reg.add_counter("core.stage.probe.records",
@@ -70,14 +67,6 @@ CoreResult CoreEngine::run(workload::TraceSource& trace,
     begin_window();
   }
   return finish(max_instructions);
-}
-
-std::unique_ptr<CoreEngine> make_engine(EngineKind kind, const CoreConfig& cfg,
-                                        DataMemory& dmem, InstMemory& imem) {
-  if (kind == EngineKind::Dataflow) {
-    return std::make_unique<DataflowCore>(cfg, dmem, imem);
-  }
-  return std::make_unique<OooCore>(cfg, dmem, imem);
 }
 
 }  // namespace ppf::core

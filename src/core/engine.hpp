@@ -59,13 +59,13 @@ struct CoreConfig {
   BtbConfig btb;
 };
 
-/// Per-stage-kernel accounting for the cycle loop (ROADMAP item 2). The
-/// record counts are deterministic and — by construction — identical for
-/// the reference and batched engines: both increment them at the same
-/// semantic points (an entry retired, a memory op issued to the L1, an
-/// instruction dispatched, a hierarchy end-of-cycle step). The ns fields
-/// are *sampled wall-clock estimates* filled in only by the batched
-/// engine; they are telemetry, never part of deterministic result
+/// Per-stage-kernel accounting for the occupancy model's cycle loop
+/// (OooCore; DataflowCore leaves it zero). The record counts are
+/// deterministic: OooCore increments them at fixed semantic points (an
+/// entry retired, a memory op issued to the L1, an instruction
+/// dispatched, a hierarchy end-of-cycle step), and the golden corpus pins
+/// them through the obs signature. The ns fields are *sampled wall-clock
+/// estimates*; they are telemetry, never part of deterministic result
 /// payloads or signatures.
 struct StageStats {
   std::uint64_t retire_records = 0;  ///< ROB entries retired
@@ -181,12 +181,5 @@ class CoreEngine {
 /// counter; the sampled ns estimates stay cumulative (they answer "where
 /// did this run's wall time go", warmup included).
 void subtract_window(CoreResult& res, const CoreResult& snap);
-
-enum class EngineKind { Occupancy, Dataflow };
-
-[[nodiscard]] std::unique_ptr<CoreEngine> make_engine(EngineKind kind,
-                                                      const CoreConfig& cfg,
-                                                      DataMemory& dmem,
-                                                      InstMemory& imem);
 
 }  // namespace ppf::core

@@ -44,7 +44,6 @@ const std::vector<Knob>& default_lattice() {
       {"taxonomy", {"0", "1"}},
       {"swpf", {"0", "1"}},
       {"core_model", {"occupancy", "dataflow"}},
-      {"engine", {"batched", "reference"}},
       {"width", {"2", "4"}},
       {"rob", {"32", "64"}},
       {"lsq", {"16", "32"}},

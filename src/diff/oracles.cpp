@@ -89,33 +89,6 @@ OracleOutcome stream_vs_arena(OracleContext& ctx) {
                             result_signature(warm));
 }
 
-/// diff.batched_vs_reference — the batched stage-kernel engine and the
-/// scalar reference engine are the *same machine*: for the occupancy
-/// model every config must produce byte-identical results — observation
-/// signatures included — under engine=batched and engine=reference.
-OracleOutcome batched_vs_reference(OracleContext& ctx) {
-  if (ctx.config().core_model == sim::CoreModel::Dataflow) {
-    return not_applicable();  // the dataflow model has one implementation
-  }
-  const auto with_engine = [](sim::EngineMode m) {
-    return [m](sim::SimConfig& cfg) {
-      cfg.engine = m;
-      // Compare with observation on so the obs signature (metric samples,
-      // event stream, core.stage.* counters) is part of the contract.
-      cfg.obs.enabled = true;
-      cfg.obs.sample_interval = 4096;
-      cfg.obs.capture_events = true;
-    };
-  };
-  const sim::SimResult batched =
-      ctx.run_mutated(with_engine(sim::EngineMode::Batched));
-  const sim::SimResult reference =
-      ctx.run_mutated(with_engine(sim::EngineMode::Reference));
-  return compare_signatures("engine=batched vs engine=reference runs",
-                            result_signature(batched),
-                            result_signature(reference));
-}
-
 /// diff.cold_vs_snapshot — resuming from a shared warmup snapshot is
 /// byte-identical to paying the warmup cold.
 OracleOutcome cold_vs_snapshot(OracleContext& ctx) {
@@ -377,9 +350,6 @@ const std::vector<Oracle>& oracle_catalogue() {
        "identical config twice -> byte-identical results", repeat_determinism},
       {"diff.stream_vs_arena",
        "materialized trace cursor == streaming generator", stream_vs_arena},
-      {"diff.batched_vs_reference",
-       "engine=batched == engine=reference, obs included",
-       batched_vs_reference},
       {"diff.cold_vs_snapshot",
        "warmup-snapshot resume == cold warmup", cold_vs_snapshot},
       {"diff.jobs1_vs_jobs8",

@@ -32,7 +32,7 @@ const std::vector<SpanNameDoc>& span_name_docs() {
        "trace-arena + warmup-snapshot cache acquisition"},
       {"serve.execute", "runlab execution (cache probe + simulation)"},
       {"serve.stage.fetch",
-       "fetch/dispatch stage-kernel share (batched engine sampling)"},
+       "fetch/dispatch stage-kernel share (sampled)"},
       {"serve.stage.probe", "L1D probe stage-kernel share"},
       {"serve.stage.retire", "retire stage-kernel share"},
       {"serve.stage.memsys", "memory-hierarchy stage-kernel share"},

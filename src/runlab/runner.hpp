@@ -142,7 +142,7 @@ struct RunTelemetry {
   std::size_t trace_evictions = 0;    ///< arenas dropped by the byte budget
   std::size_t snapshot_evictions = 0; ///< snapshots dropped by the budget
   /// Stage-kernel breakdown summed over succeeded jobs (window record
-  /// counts; sampled ns estimates when the batched engine ran).
+  /// counts and sampled ns estimates from occupancy-model jobs).
   core::StageStats stages;
 };
 

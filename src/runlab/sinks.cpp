@@ -124,8 +124,8 @@ void write_telemetry_json(std::ostream& os, const RunReport& rep) {
      << "\"snapshot_resumes\":" << t.snapshot_resumes << ","
      << "\"trace_evictions\":" << t.trace_evictions << ","
      << "\"snapshot_evictions\":" << t.snapshot_evictions << ","
-     // Stage-kernel breakdown (batched jobs contribute the sampled ns
-     // estimates; record counts come from both engines identically).
+     // Stage-kernel breakdown (occupancy-model jobs contribute record
+     // counts and sampled ns estimates; dataflow jobs contribute zero).
      << "\"stages\":{"
      << "\"retire\":{\"records\":" << t.stages.retire_records
      << ",\"ns\":" << sim::fmt(t.stages.retire_ns, 0) << "},"

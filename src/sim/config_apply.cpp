@@ -55,12 +55,6 @@ const std::vector<OverrideDoc>& override_docs() {
       {"nsp_degree", "NSP lines per trigger"},
       {"pmp_region_lines", "PMP region size in cache lines (power of two)"},
       {"pmp_degree_cap", "PMP max prefetches per trigger (0 = whole region)"},
-      {"nsp", "deprecated alias: toggle 'nsp' in prefetchers= (bool)"},
-      {"sdp", "deprecated alias: toggle 'sdp' in prefetchers= (bool)"},
-      {"stride", "deprecated alias: toggle 'stride' in prefetchers= (bool)"},
-      {"stream_buffer",
-       "deprecated alias: toggle 'stream_buffer' in prefetchers= (bool)"},
-      {"markov", "deprecated alias: toggle 'markov' in prefetchers= (bool)"},
       {"taxonomy", "track the Srinivasan prefetch taxonomy (bool)"},
       {"swpf", "honour software prefetch instructions (bool)"},
       {"check", "invariant checking: off|final|paranoid (docs/CHECKING.md)"},
@@ -68,7 +62,6 @@ const std::vector<OverrideDoc>& override_docs() {
       {"check_fail_at", "test hook: inject a checker.tripwire violation at cycle N"},
       {"diff_fail_at", "test hook: throw before simulating runs of >= N instructions"},
       {"core_model", "timing model: occupancy|dataflow"},
-      {"engine", "cycle-loop engine: batched|reference (byte-identical)"},
       {"width", "core dispatch/retire width"},
       {"rob", "reorder buffer entries"},
       {"lsq", "load/store queue entries"},
@@ -193,15 +186,6 @@ void apply_overrides(SimConfig& cfg, const ParamMap& params) {
     cfg.prefetchers =
         registry::parse_prefetcher_list(params.get_string("prefetchers", ""));
   }
-  // Deprecated boolean aliases (pre-registry knobs), applied after
-  // prefetchers= so scripts mixing both get the toggles they wrote.
-  for (const char* name :
-       {"nsp", "sdp", "stride", "stream_buffer", "markov"}) {
-    if (params.has(name)) {
-      cfg.set_prefetcher(name,
-                         params.get_bool(name, cfg.prefetcher_enabled(name)));
-    }
-  }
   if (params.has("replacement")) {
     const mem::ReplacementKind r =
         registry::parse_replacement(params.get_string("replacement", ""));
@@ -235,16 +219,6 @@ void apply_overrides(SimConfig& cfg, const ParamMap& params) {
       throw std::invalid_argument("unknown core model: " + m);
     }
   }
-  if (params.has("engine")) {
-    const std::string e = params.get_string("engine", "");
-    if (e == "batched") {
-      cfg.engine = EngineMode::Batched;
-    } else if (e == "reference") {
-      cfg.engine = EngineMode::Reference;
-    } else {
-      throw std::invalid_argument("unknown engine: " + e);
-    }
-  }
   cfg.core.width =
       static_cast<unsigned>(params.get_u64("width", cfg.core.width));
   cfg.core.rob_entries =
@@ -253,6 +227,23 @@ void apply_overrides(SimConfig& cfg, const ParamMap& params) {
       static_cast<unsigned>(params.get_u64("lsq", cfg.core.lsq_entries));
   cfg.core.dep_on_load_prob =
       params.get_double("dep_prob", cfg.core.dep_on_load_prob);
+
+  // The timing models PPF_CHECK these shapes and abort; reject them here
+  // so a bad override is a usage error, not a dead process.
+  const core::CoreConfig& c = cfg.core;
+  if (c.width < 1) {
+    throw std::invalid_argument("width must be >= 1 (width=" +
+                                std::to_string(c.width) + ")");
+  }
+  if (c.rob_entries < c.width) {
+    throw std::invalid_argument(
+        "rob must be >= width (rob=" + std::to_string(c.rob_entries) +
+        ", width=" + std::to_string(c.width) + ")");
+  }
+  if (c.lsq_entries < 1) {
+    throw std::invalid_argument("lsq must be >= 1 (lsq=" +
+                                std::to_string(c.lsq_entries) + ")");
+  }
 }
 
 void print_config(std::ostream& os, const SimConfig& cfg) {

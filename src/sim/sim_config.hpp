@@ -8,8 +8,7 @@
 
 #include "check/check.hpp"
 #include "common/assert.hpp"
-#include "core/dataflow_core.hpp"
-#include "core/ooo_core.hpp"
+#include "core/engine.hpp"
 #include "filter/adaptive_filter.hpp"
 #include "filter/deadblock_filter.hpp"
 #include "filter/filter.hpp"
@@ -38,31 +37,9 @@ inline const char* to_string(CoreModel m) {
   return "?";
 }
 
-/// Which implementation of the occupancy timing model runs the cycle
-/// loop. Both produce byte-identical results (enforced by the
-/// equiv.batched_vs_reference diff oracle); they differ only in speed.
-enum class EngineMode : std::uint8_t {
-  Reference,  ///< scalar OooCore: virtual dispatch, AoS fetch buffer
-  Batched,    ///< stage-kernel BatchedCore: SoA decode, devirtualized
-};
-
-inline const char* to_string(EngineMode e) {
-  switch (e) {
-    case EngineMode::Reference: return "reference";
-    case EngineMode::Batched: return "batched";
-  }
-  PPF_ASSERT_MSG(false, "unhandled EngineMode");
-  return "?";
-}
-
 struct SimConfig {
   core::CoreConfig core;
   CoreModel core_model = CoreModel::Occupancy;
-  /// Cycle-loop engine for the occupancy model (the dataflow model has a
-  /// single implementation and ignores this). Part of warmup_key: a
-  /// snapshot holds a paused engine of one concrete type, and resuming
-  /// must exercise the engine the config asked for.
-  EngineMode engine = EngineMode::Batched;
 
   mem::CacheConfig l1d{.name = "L1D",
                        .size_bytes = 8 * 1024,
@@ -184,9 +161,8 @@ struct SimConfig {
   /// True when `name` is in the `prefetchers` list.
   [[nodiscard]] bool prefetcher_enabled(std::string_view name) const;
 
-  /// Add (append) or remove `name` from the `prefetchers` list. The
-  /// deprecated boolean override knobs (nsp=, sdp=, ...) resolve here;
-  /// removal keeps the relative order of the remaining entries.
+  /// Add (append) or remove `name` from the `prefetchers` list; removal
+  /// keeps the relative order of the remaining entries.
   void set_prefetcher(std::string_view name, bool enabled);
 };
 

@@ -4,7 +4,8 @@
 #include <string>
 
 #include "common/stats.hpp"
-#include "sim/batched_core.hpp"
+#include "core/dataflow_core.hpp"
+#include "core/ooo_core.hpp"
 #include "sim/memory_hierarchy.hpp"
 
 namespace ppf::sim {
@@ -36,6 +37,14 @@ double SimResult::bad_good_ratio() const {
 
 double SimResult::prefetch_traffic_ratio() const {
   return ratio(l1_prefetch_traffic, l1_normal_traffic);
+}
+
+std::unique_ptr<core::CoreEngine> make_sim_engine(const SimConfig& cfg,
+                                                  MemoryHierarchy& mem) {
+  if (cfg.core_model == CoreModel::Dataflow) {
+    return std::make_unique<core::DataflowCore>(cfg.core, mem, mem);
+  }
+  return std::make_unique<core::OooCore<MemoryHierarchy>>(cfg.core, mem);
 }
 
 Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg)) {}

@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "core/ooo_core.hpp"
+#include "core/engine.hpp"
 #include "obs/recorder.hpp"
 #include "sim/classifier.hpp"
 #include "sim/sim_config.hpp"
@@ -78,6 +78,12 @@ struct SimResult {
 };
 
 class MemoryHierarchy;
+
+/// The timing model cfg.core_model selects, driving `mem`: DataflowCore,
+/// or the occupancy model (core::OooCore) instantiated on the concrete
+/// hierarchy.
+[[nodiscard]] std::unique_ptr<core::CoreEngine> make_sim_engine(
+    const SimConfig& cfg, MemoryHierarchy& mem);
 
 /// Fault-injection test hook: throws std::runtime_error when
 /// cfg.diff_fail_at is non-zero and the run would dispatch at least that

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "sim/batched_core.hpp"
 
 namespace ppf::sim {
 
@@ -27,8 +26,7 @@ void key_cache(std::ostringstream& os, const mem::CacheConfig& c) {
 // run_from_snapshot entry without touching the shared snapshot.
 std::string warmup_key(const SimConfig& cfg) {
   std::ostringstream os;
-  os << to_string(cfg.core_model) << '|' << to_string(cfg.engine) << '|'
-     << cfg.core.width << ','
+  os << to_string(cfg.core_model) << '|' << cfg.core.width << ','
      << cfg.core.rob_entries << ',' << cfg.core.lsq_entries << ','
      << cfg.core.exec_latency << ',' << cfg.core.mispredict_penalty << ','
      << cfg.core.inst_bytes << ',' << cfg.core.ifetch_line_bytes << ','

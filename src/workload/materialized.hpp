@@ -44,7 +44,7 @@ class MaterializedTrace {
   void gather(std::size_t pos, TraceRecord* out, std::size_t n) const;
 
   /// Raw read-only pointers into the SoA columns the timing models
-  /// consume (pc/kind/addr/target/flags). The batched engine decodes
+  /// consume (pc/kind/addr/target/flags). The occupancy core decodes
   /// straight from these, skipping the AoS TraceRecord round-trip that
   /// gather() pays. Valid for the arena's lifetime; flags bit 0 = taken,
   /// bit 1 = serial (the encoding the constructor writes).

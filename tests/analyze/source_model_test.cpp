@@ -60,6 +60,24 @@ TEST(SourceModel, IndexesOutOfLineQualifiedDefinitions) {
   EXPECT_TRUE(funcs[2].ctor_dtor);  // dtor
 }
 
+TEST(SourceModel, IndexesOutOfLineClassTemplateMembers) {
+  const SourceFile f = make_file(
+      "template <typename Mem>\n"
+      "bool Core<Mem>::cycle(int n) { return step(n); }\n"
+      "template <typename Mem>\n"
+      "Core<Mem>::Core(Mem& m) : m_(m) { init(); }\n"
+      "template <typename Mem>\n"
+      "std::unique_ptr<Base> Core<Mem>::clone() const { return {}; }\n",
+      "src/core/c.hpp");
+  const auto funcs = index_functions(f, 0);
+  ASSERT_EQ(funcs.size(), 3u);
+  EXPECT_EQ(funcs[0].qual, "Core::cycle");
+  EXPECT_FALSE(funcs[0].ctor_dtor);
+  EXPECT_EQ(funcs[1].qual, "Core::Core");
+  EXPECT_TRUE(funcs[1].ctor_dtor);
+  EXPECT_EQ(funcs[2].qual, "Core::clone");
+}
+
 TEST(SourceModel, LambdaBodyBelongsToEnclosingFunction) {
   const SourceFile f = make_file(
       "void outer() {\n"

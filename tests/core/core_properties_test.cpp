@@ -51,7 +51,7 @@ std::vector<TraceRecord> load_heavy_trace(std::size_t n) {
 
 double run_ipc(CoreConfig cfg, std::vector<TraceRecord> recs, Cycle lat) {
   NullMemory mem(lat);
-  OooCore core(cfg, mem, mem);
+  OooCore core(cfg, mem);
   VectorTrace t(std::move(recs));
   const CoreResult r = core.run(t, 1'000'000);
   return r.ipc();

@@ -72,7 +72,7 @@ std::vector<TraceRecord> ops(std::size_t n, Pc base = 0x400000) {
 
 TEST(OooCore, PureOpsRetireAtFullWidth) {
   FixedLatencyMemory mem;
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   VectorTrace t(ops(800));
   const CoreResult r = core.run(t, 800);
   EXPECT_EQ(r.instructions, 800u);
@@ -83,7 +83,7 @@ TEST(OooCore, PureOpsRetireAtFullWidth) {
 
 TEST(OooCore, InstructionCapRespected) {
   FixedLatencyMemory mem;
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   VectorTrace t(ops(500));
   const CoreResult r = core.run(t, 100);
   EXPECT_EQ(r.instructions, 100u);
@@ -93,7 +93,7 @@ TEST(OooCore, LongLatencyLoadBlocksRetirementViaRob) {
   FixedLatencyMemory mem(/*load_latency=*/200);
   CoreConfig cfg = quiet_core();
   cfg.rob_entries = 16;
-  OooCore core(cfg, mem, mem);
+  OooCore core(cfg, mem);
   std::vector<TraceRecord> v;
   v.push_back(TraceRecord{0x400000, InstKind::Load, 0x1000, 0, false});
   auto rest = ops(100, 0x400004);
@@ -108,7 +108,7 @@ TEST(OooCore, LongLatencyLoadBlocksRetirementViaRob) {
 
 TEST(OooCore, SerialLoadsChainTheirLatencies) {
   FixedLatencyMemory mem(/*load_latency=*/50);
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v;
   for (int i = 0; i < 4; ++i) {
     TraceRecord r{0x400000 + static_cast<Pc>(i) * 4, InstKind::Load,
@@ -124,7 +124,7 @@ TEST(OooCore, SerialLoadsChainTheirLatencies) {
 
 TEST(OooCore, IndependentLoadsOverlap) {
   FixedLatencyMemory mem(/*load_latency=*/50);
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v;
   for (int i = 0; i < 4; ++i) {
     v.push_back(TraceRecord{0x400000 + static_cast<Pc>(i) * 4, InstKind::Load,
@@ -151,12 +151,12 @@ TEST(OooCore, MispredictedBranchesCostCycles) {
     }
     return v;
   };
-  OooCore stable_core(cfg, mem, mem);
+  OooCore stable_core(cfg, mem);
   VectorTrace stable(make_trace(false));
   const CoreResult rs = stable_core.run(stable, 800);
 
   FixedLatencyMemory mem2;
-  OooCore flaky_core(cfg, mem2, mem2);
+  OooCore flaky_core(cfg, mem2);
   VectorTrace flaky(make_trace(true));
   const CoreResult rf = flaky_core.run(flaky, 800);
 
@@ -167,7 +167,7 @@ TEST(OooCore, MispredictedBranchesCostCycles) {
 
 TEST(OooCore, SoftwarePrefetchReachesMemoryWithoutBlocking) {
   FixedLatencyMemory mem;
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v = ops(4);
   v.push_back(TraceRecord{0x400010, InstKind::SwPrefetch, 0xABC0, 0, false});
   auto rest = ops(4, 0x400014);
@@ -182,7 +182,7 @@ TEST(OooCore, SoftwarePrefetchReachesMemoryWithoutBlocking) {
 
 TEST(OooCore, PortStarvationQueuesAccesses) {
   PortedMemory mem(/*ports=*/1, /*lat=*/1);
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v;
   for (int i = 0; i < 64; ++i) {
     v.push_back(TraceRecord{0x400000 + static_cast<Pc>(i) * 4, InstKind::Load,
@@ -197,7 +197,7 @@ TEST(OooCore, PortStarvationQueuesAccesses) {
 
 TEST(OooCore, CountsInstructionMix) {
   FixedLatencyMemory mem;
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v;
   v.push_back(TraceRecord{0x400000, InstKind::Load, 0x10, 0, false});
   v.push_back(TraceRecord{0x400004, InstKind::Store, 0x20, 0, false});
@@ -213,7 +213,7 @@ TEST(OooCore, CountsInstructionMix) {
 
 TEST(OooCore, WarmupWindowIsSubtracted) {
   FixedLatencyMemory mem;
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   VectorTrace t(ops(1000));
   bool callback_fired = false;
   const CoreResult r =
@@ -227,7 +227,7 @@ TEST(OooCore, WarmupWindowIsSubtracted) {
 
 TEST(OooCore, DrainsCleanlyOnTraceExhaustion) {
   FixedLatencyMemory mem(30);
-  OooCore core(quiet_core(), mem, mem);
+  OooCore core(quiet_core(), mem);
   std::vector<TraceRecord> v{
       TraceRecord{0x400000, InstKind::Load, 0x40, 0, false}};
   VectorTrace t(v);

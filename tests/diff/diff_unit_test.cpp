@@ -126,7 +126,7 @@ ConfigPoint noisy_point() {
   pt.warmup = 8000;
   pt.overrides.emplace_back("l1d_kb", "16");
   pt.overrides.emplace_back("nsp_degree", "4");
-  pt.overrides.emplace_back("markov", "1");
+  pt.overrides.emplace_back("victim_entries", "8");
   pt.overrides.emplace_back("rob", "32");
   return pt;
 }
@@ -147,12 +147,12 @@ TEST(Shrink, StripsIrrelevantOverridesToTheGuiltyOne) {
 
 TEST(Shrink, KeepsJointlyNecessaryOverrides) {
   const StillFails pred = [](const ConfigPoint& pt) {
-    return pt.has("nsp_degree") && pt.has("markov");
+    return pt.has("nsp_degree") && pt.has("victim_entries");
   };
   const ShrinkResult s = shrink_point(noisy_point(), pred, 64, 24000);
   ASSERT_EQ(s.point.overrides.size(), 2u);
   EXPECT_TRUE(s.point.has("nsp_degree"));
-  EXPECT_TRUE(s.point.has("markov"));
+  EXPECT_TRUE(s.point.has("victim_entries"));
 }
 
 TEST(Shrink, RespectsTheEvaluationBudget) {

@@ -6,7 +6,7 @@
 // fresh run only has to reach PPF_PERF_SLACK (default 0.25) of the
 // baseline's aggregate MIPS. That catches order-of-magnitude
 // regressions — an accidental O(n^2), a debug-only code path left on,
-// the reference engine becoming the default — while staying quiet
+// virtual calls creeping back into the cycle loop — while staying quiet
 // across the usual 2-3x machine-to-machine variance of CI hardware.
 // Tune the slack per machine with e.g. `PPF_PERF_SLACK=0.6 ctest -L perf`.
 #include <gtest/gtest.h>

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -396,6 +397,45 @@ TEST(Server, ProgrammaticShutdownRequestStopsAnIdleServer) {
   SUCCEED();
 }
 
+/// A raw line-protocol TCP connection to a Server on localhost.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ = fd_ >= 0 &&
+                 ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+
+  /// Send `line` and return the one response line it gets back.
+  std::string round_trip(const std::string& line) {
+    const std::string framed = line + "\n";
+    if (::send(fd_, framed.data(), framed.size(), 0) !=
+        static_cast<ssize_t>(framed.size())) {
+      return "<send failed>";
+    }
+    std::string reply;
+    char c = 0;
+    while (::recv(fd_, &c, 1, 0) == 1 && c != '\n') reply += c;
+    return reply;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
 TEST(Server, ProtocolErrorsAreAnsweredNotFatal) {
   Service service(tiny_service_config());
   Server server(service, {});
@@ -404,31 +444,54 @@ TEST(Server, ProtocolErrorsAreAnsweredNotFatal) {
 
   // Raw connection: a garbage line must come back as a bad_request
   // error on the same connection, and the connection must stay usable.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const auto send_line = [&](const std::string& line) {
-    const std::string framed = line + "\n";
-    ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
-              static_cast<ssize_t>(framed.size()));
-  };
-  const auto read_line = [&] {
-    std::string line;
-    char c = 0;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
-    return line;
-  };
-  send_line("this is not json");
-  EXPECT_NE(read_line().find("\"code\":\"bad_request\""), std::string::npos);
-  send_line("{\"op\":\"ping\",\"id\":99}");
-  EXPECT_EQ(read_line(), "{\"op\":\"pong\",\"id\":99}");
-  ::close(fd);
+  {
+    RawConnection conn(server.port());
+    ASSERT_TRUE(conn.connected());
+    EXPECT_NE(conn.round_trip("this is not json")
+                  .find("\"code\":\"bad_request\""),
+              std::string::npos);
+    EXPECT_EQ(conn.round_trip("{\"op\":\"ping\",\"id\":99}"),
+              "{\"op\":\"pong\",\"id\":99}");
+  }
   EXPECT_GE(counter_value(service, "serve.bad_requests"), 1u);
+
+  shutdown.request();
+  daemon.join();
+}
+
+TEST(Server, CoreShapesTheTimingModelCannotRunAreRejectedNotFatal) {
+  // rob < width, width=0 and lsq=0 used to reach a PPF_CHECK in the core
+  // constructor and abort the daemon, dropping every connection.
+  Service service(tiny_service_config());
+  Server server(service, {});
+  ShutdownRequest shutdown;
+  std::thread daemon([&] { server.serve(shutdown); });
+  {
+    RawConnection conn(server.port());
+    ASSERT_TRUE(conn.connected());
+    const std::pair<const char*, const char*> bad[] = {
+        {"rob=4", "rob must be >= width (rob=4, width=8)"},
+        {"width=0", "width must be >= 1 (width=0)"},
+        {"lsq=0", "lsq must be >= 1 (lsq=0)"},
+    };
+    std::uint64_t id = 1;
+    for (const auto& [knob, message] : bad) {
+      const std::string reply = conn.round_trip(
+          "{\"op\":\"run\",\"id\":" + std::to_string(id++) +
+          ",\"config\":\"bench=mcf " + knob + "\"}");
+      EXPECT_EQ(reply.rfind("{\"op\":\"error\",", 0), 0u) << reply;
+      EXPECT_NE(reply.find("\"code\":\"bad_config\""), std::string::npos)
+          << reply;
+      EXPECT_NE(reply.find(message), std::string::npos) << reply;
+    }
+    // The same connection still runs a valid config.
+    const std::string ok = conn.round_trip(
+        "{\"op\":\"run\",\"id\":9,\"config\":\"" +
+        std::string(kTinyConfig) + "\"}");
+    EXPECT_EQ(ok.rfind("{\"op\":\"result\",\"id\":9,", 0), 0u) << ok;
+    EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
+  }
+  EXPECT_EQ(counter_value(service, "serve.bad_configs"), 3u);
 
   shutdown.request();
   daemon.join();

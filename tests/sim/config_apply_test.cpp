@@ -73,16 +73,44 @@ TEST(ConfigApply, PrefetcherListSelectsEngines) {
   EXPECT_EQ(cfg.nsp_degree, 3u);
 }
 
-TEST(ConfigApply, DeprecatedPrefetcherToggles) {
-  // The old per-engine booleans survive as aliases that edit the list.
-  SimConfig cfg;  // defaults to {"nsp", "sdp"}
-  apply_overrides(cfg, params({"nsp=0", "sdp=off", "stride=1",
-                               "stream_buffer=true", "markov=yes"}));
-  EXPECT_FALSE(cfg.prefetcher_enabled("nsp"));
-  EXPECT_FALSE(cfg.prefetcher_enabled("sdp"));
-  EXPECT_TRUE(cfg.prefetcher_enabled("stride"));
-  EXPECT_TRUE(cfg.prefetcher_enabled("stream_buffer"));
-  EXPECT_TRUE(cfg.prefetcher_enabled("markov"));
+TEST(ConfigApply, RemovedKeysAreRejectedAsUnknown) {
+  // prefetchers= is the one way to pick prefetchers and the occupancy
+  // model has one engine, so these keys are typos like any other.
+  for (const char* key :
+       {"nsp", "sdp", "stride", "stream_buffer", "markov", "engine"}) {
+    SimConfig cfg;
+    ParamMap p;
+    p.set(key, "1");
+    try {
+      apply_overrides(cfg, p);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("unknown configuration key: ") + key);
+    }
+  }
+}
+
+TEST(ConfigApply, CoreShapesTheTimingModelsCannotRunThrow) {
+  // These would trip the core constructors' PPF_CHECKs and abort the
+  // process: one serve request could kill the daemon.
+  const std::vector<std::pair<ParamMap, std::string>> bad = {
+      {params({"rob=4"}), "rob must be >= width (rob=4, width=8)"},
+      {params({"width=0"}), "width must be >= 1 (width=0)"},
+      {params({"lsq=0"}), "lsq must be >= 1 (lsq=0)"},
+      {params({"width=4", "rob=2"}), "rob must be >= width (rob=2, width=4)"},
+  };
+  for (const auto& [p, message] : bad) {
+    SimConfig cfg;
+    try {
+      apply_overrides(cfg, p);
+      ADD_FAILURE() << message << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+  SimConfig cfg;
+  EXPECT_NO_THROW(apply_overrides(cfg, params({"width=4", "rob=4", "lsq=1"})));
 }
 
 TEST(ConfigApply, UnknownPrefetcherAndFilterNameValidated) {
@@ -127,14 +155,12 @@ TEST(ConfigApply, EveryDocumentedKeyIsAccepted) {
     // Pick a value that parses under the getter each key uses (bool
     // keys reject plain integers above 1).
     static const std::set<std::string> bool_keys = {
-        "source_separated", "prefetch_buffer", "nsp",  "sdp",
-        "stride",           "stream_buffer",   "markov", "swpf",
-        "taxonomy",         "prefetch_l2"};
+        "source_separated", "prefetch_buffer", "swpf", "taxonomy",
+        "prefetch_l2"};
     p.set(d.key, d.key == "filter"         ? "pa"
                  : d.key == "core_model"   ? "dataflow"
                  : d.key == "history_hash" ? "modulo"
                  : d.key == "check"        ? "paranoid"
-                 : d.key == "engine"       ? "batched"
                  : d.key == "dep_prob"     ? "0.3"
                  : d.key == "l1d_ports"    ? "4"
                  : d.key == "history_entries" ? "4096"

@@ -92,12 +92,11 @@ TEST(Snapshot, OneSnapshotServesDifferentWindowLengths) {
 // A snapshot built over a short arena resumes over a longer arena of the
 // same (bench, seed) — what runlab does after regrowing an arena for a
 // longer job — exactly as the cold path runs on the longer arena. The
-// tiny case ends the short arena inside the reference engines' 64-record
+// tiny case ends the short arena inside the dataflow core's 64-record
 // read-ahead at the pause, so the clone must find more records past it.
 struct RegrowCase {
   const char* name;
   CoreModel model;
-  EngineMode engine;
   std::uint64_t warmup;
   std::uint64_t short_window;
 };
@@ -110,7 +109,6 @@ TEST_P(SnapshotRegrowTest, ResumeOverLongerArenaMatchesColdPath) {
   const RegrowCase& c = GetParam();
   SimConfig base = quick_cfg("pc");
   base.core_model = c.model;
-  base.engine = c.engine;
   base.warmup_instructions = c.warmup;
   base.max_instructions = c.short_window;
   const auto short_arena = arena_for("gzip", 5, c.warmup + c.short_window);
@@ -128,18 +126,10 @@ TEST_P(SnapshotRegrowTest, ResumeOverLongerArenaMatchesColdPath) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, SnapshotRegrowTest,
     ::testing::Values(
-        RegrowCase{"batched", CoreModel::Occupancy, EngineMode::Batched,
-                   20'000, 30'000},
-        RegrowCase{"reference", CoreModel::Occupancy, EngineMode::Reference,
-                   20'000, 30'000},
-        RegrowCase{"dataflow", CoreModel::Dataflow, EngineMode::Batched,
-                   20'000, 30'000},
-        RegrowCase{"batched_tiny", CoreModel::Occupancy, EngineMode::Batched,
-                   20, 30},
-        RegrowCase{"reference_tiny", CoreModel::Occupancy,
-                   EngineMode::Reference, 20, 30},
-        RegrowCase{"dataflow_tiny", CoreModel::Dataflow, EngineMode::Batched,
-                   20, 30}),
+        RegrowCase{"batched", CoreModel::Occupancy, 20'000, 30'000},
+        RegrowCase{"dataflow", CoreModel::Dataflow, 20'000, 30'000},
+        RegrowCase{"batched_tiny", CoreModel::Occupancy, 20, 30},
+        RegrowCase{"dataflow_tiny", CoreModel::Dataflow, 20, 30}),
     [](const ::testing::TestParamInfo<RegrowCase>& info) {
       return std::string(info.param.name);
     });
