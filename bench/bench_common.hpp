@@ -31,7 +31,7 @@ struct CliOptions {
   std::size_t jobs = 0;
 };
 
-/// Parse CLI overrides. Any key listed by `sim::override_docs()` plus
+/// Parse CLI overrides. Any override key of `sim::config_schema()` plus
 /// the driver key `jobs` is accepted; figure-specific settings (L1 size,
 /// ports, filter) are applied by each binary on top.
 inline CliOptions parse_cli(int argc, char** argv) {
@@ -47,18 +47,12 @@ inline CliOptions parse_cli(int argc, char** argv) {
       throw std::invalid_argument("unknown key: " + unknown);
     }
     cli.jobs = params.get_u64("jobs", 0);
-    ParamMap machine;
-    for (const auto& [k, v] : params.entries()) {
-      if (k != "jobs") machine.set(k, v);
-    }
-    sim::apply_overrides(cli.cfg, machine);
+    sim::apply_overrides(cli.cfg, params, {"jobs"});
   } catch (const std::exception& e) {
     std::cerr << "usage: " << argv[0] << " [key=value ...]\n"
               << e.what() << "\n\nrecognised keys:\n"
               << "  jobs — runlab worker threads (0 = hardware)\n";
-    for (const sim::OverrideDoc& d : sim::override_docs()) {
-      std::cerr << "  " << d.key << " — " << d.help << "\n";
-    }
+    sim::print_override_keys(std::cerr);
     std::exit(2);
   }
   return cli;

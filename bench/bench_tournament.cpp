@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
   try {
     const ParamMap params = ParamMap::from_args(argc, argv);
     if (params.has("help")) throw std::invalid_argument("help requested");
-    const std::string unknown = sim::first_unknown_key(
-        params, {"jobs", "out", "filters", "prefetchers", "benches"});
+    const std::vector<std::string> driver_keys = {
+        "jobs", "out", "filters", "prefetchers", "benches"};
+    const std::string unknown = sim::first_unknown_key(params, driver_keys);
     if (!unknown.empty()) {
       throw std::invalid_argument("unknown key: " + unknown);
     }
@@ -62,13 +63,7 @@ int main(int argc, char** argv) {
     spec.base = sim::SimConfig::paper_default();
     spec.base.max_instructions = 400'000;
     spec.base.warmup_instructions = 100'000;
-    ParamMap machine;
-    for (const auto& [k, v] : params.entries()) {
-      if (k != "jobs" && k != "out" && k != "filters" &&
-          k != "prefetchers" && k != "benches")
-        machine.set(k, v);
-    }
-    sim::apply_overrides(spec.base, machine);
+    sim::apply_overrides(spec.base, params, driver_keys);
   } catch (const std::exception& e) {
     std::cerr << "usage: " << argv[0]
               << " [jobs=N] [out=FILE] [filters=a,b] [prefetchers=c,d]"

@@ -104,8 +104,11 @@ void check_catalogs(const Project& p, std::vector<Diagnostic>& out) {
       Project::read_text(p.root / "docs" / "OBSERVABILITY.md");
 
   // --- config override keys -> README.md + docs/*.md --------------------
+  // The key rows of sim::config_schema() are brace entries led by the
+  // key; the rows with no key are PPF_WARM(...) calls, which the
+  // extractor skips.
   if (const SourceFile* f = find_file(p, "src/sim/config_apply.cpp")) {
-    for (const CatalogEntry& e : collect_catalog(p, *f, "override_docs")) {
+    for (const CatalogEntry& e : collect_catalog(p, *f, "config_schema")) {
       if (!Project::contains_word(p.docs_corpus, e.text)) {
         out.push_back({"config-key-docs", f->rel, e.line, e.col,
                        "override key '" + e.text +

@@ -1,5 +1,5 @@
-// ppf::analyze — project-convention rules (the token-stream port of
-// the original ppf_lint regex rules that are not catalogue checks).
+// ppf::analyze — project-convention rules (the token-stream rules that
+// are not catalogue checks).
 //
 //   no-bare-assert        C assert()/<cassert> bypass the PPF_ASSERT
 //                         ladder (common/assert.hpp).

@@ -13,7 +13,7 @@ namespace ppf::analyze {
 
 const std::vector<RuleInfo>& all_rules() {
   static const std::vector<RuleInfo> rules = {
-      // conventions (ppf_lint heritage)
+      // conventions
       {"no-bare-assert",
        "use PPF_ASSERT/PPF_CHECK (common/assert.hpp), not assert()/<cassert>"},
       {"no-wallclock-rand",
@@ -28,9 +28,9 @@ const std::vector<RuleInfo>& all_rules() {
       {"kind-switch-exhaustive",
        "kind-to-string switches must assert/throw on the fall-through path "
        "so a new enumerator cannot stringify silently"},
-      // unified catalogs (ppf_lint heritage)
+      // unified catalogs
       {"config-key-docs",
-       "every override_docs() key must appear in docs/*.md or README.md"},
+       "every config_schema() key must appear in docs/*.md or README.md"},
       {"invariant-id-docs",
        "invariant IDs at require()/fail()/CheckFailure sites must appear in "
        "docs/CHECKING.md"},
@@ -62,16 +62,6 @@ const std::vector<RuleInfo>& all_rules() {
        "fields annotated // PPF_GUARDED_BY(m) are only touched with m held"},
       {"lock-unknown-mutex",
        "PPF_GUARDED_BY must name a mutex the file declares"},
-  };
-  return rules;
-}
-
-const std::set<std::string>& legacy_lint_rules() {
-  static const std::set<std::string> rules = {
-      "no-bare-assert",    "no-wallclock-rand",     "obs-check-parity",
-      "config-key-docs",   "obs-event-bookkeeping", "invariant-id-docs",
-      "diff-oracle-docs",  "serve-verb-docs",       "hot-loop-no-virtual",
-      "span-name-docs",
   };
   return rules;
 }

@@ -2,11 +2,8 @@
 //
 // One Project::load, then every pass over the shared source model:
 // include-layer DAG (docs/LAYERS.md spec), determinism taint, lock
-// discipline, unified catalogs, and the migrated ppf_lint convention
-// rules. Diagnostics come back sorted by (file, line, col, rule).
-//
-// `ppf_analyze` runs the full set; `ppf_lint` runs the legacy subset
-// through the same engine (see legacy_lint_rules()).
+// discipline, unified catalogs, and the convention rules. Diagnostics
+// come back sorted by (file, line, col, rule).
 #pragma once
 
 #include <filesystem>
@@ -25,9 +22,6 @@ struct RuleInfo {
 
 /// Every rule the engine can emit, in catalogue order.
 const std::vector<RuleInfo>& all_rules();
-
-/// The ten original ppf_lint rule IDs (the `ppf_lint` CLI's rule set).
-const std::set<std::string>& legacy_lint_rules();
 
 /// Load `root` and run the passes. `only` restricts the result to the
 /// named rules (empty = all). Sorted diagnostics.

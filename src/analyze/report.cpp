@@ -111,25 +111,4 @@ void print_sarif(std::ostream& os, const std::vector<Diagnostic>& diags) {
      << "}\n";
 }
 
-void print_legacy_human(std::ostream& os,
-                        const std::vector<Diagnostic>& diags) {
-  for (const Diagnostic& d : diags) {
-    os << d.file << ":" << d.line << ": [" << d.rule << "] " << d.message
-       << "\n";
-  }
-}
-
-void print_legacy_json(std::ostream& os,
-                       const std::vector<Diagnostic>& diags) {
-  os << "[";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    os << (i == 0 ? "" : ",") << "\n  {\"rule\": \"" << json_escape(d.rule)
-       << "\", \"file\": \"" << json_escape(d.file)
-       << "\", \"line\": " << d.line << ", \"message\": \""
-       << json_escape(d.message) << "\"}";
-  }
-  os << (diags.empty() ? "]" : "\n]") << "\n";
-}
-
 }  // namespace ppf::analyze

@@ -1,14 +1,11 @@
 // ppf::analyze — diagnostic printers.
 //
-// Three ppf_analyze output modes plus the byte-compatible legacy pair
-// that `ppf_lint` keeps emitting:
+// The three ppf_analyze output modes:
 //
 //   print_human   file:line:col: [rule] message   (+ "  fix: hint")
 //   print_json    array of {rule,file,line,col,message,hint}
 //   print_sarif   SARIF 2.1.0 (one run, rules catalogued, results with
 //                 physical locations) — GitHub code scanning ingests it
-//   print_legacy_human  file:line: [rule] message
-//   print_legacy_json   array of {rule,file,line,message}
 #pragma once
 
 #include <iosfwd>
@@ -21,10 +18,6 @@ namespace ppf::analyze {
 void print_human(std::ostream& os, const std::vector<Diagnostic>& diags);
 void print_json(std::ostream& os, const std::vector<Diagnostic>& diags);
 void print_sarif(std::ostream& os, const std::vector<Diagnostic>& diags);
-
-void print_legacy_human(std::ostream& os,
-                        const std::vector<Diagnostic>& diags);
-void print_legacy_json(std::ostream& os, const std::vector<Diagnostic>& diags);
 
 /// JSON string escaping (exposed for the CLIs' own output).
 std::string json_escape(const std::string& s);

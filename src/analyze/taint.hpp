@@ -2,7 +2,7 @@
 //
 // The repo's headline correctness claim — byte-identical results at any
 // worker count, cold or snapshot path — rests on the simulation hot
-// path never consulting a non-deterministic source. ppf_lint's
+// path never consulting a non-deterministic source. The
 // no-wallclock-rand rule checks single lines; this pass upgrades it to
 // reachability: build an approximate intra-project call graph, seed it
 // with the hot-path roots, and flag any *reachable* function that

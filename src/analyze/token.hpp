@@ -1,9 +1,9 @@
 // ppf::analyze — token model for the project-wide static analysis pass.
 //
-// The analyzer is deliberately NOT a libclang tool: like ppf_lint before
-// it, it must build and run anywhere the simulator builds, with zero
-// extra dependencies (std::filesystem + iostreams only). What it gains
-// over ppf_lint's line regexes is a real lexical model: every rule sees
+// The analyzer is deliberately NOT a libclang tool: it must build and
+// run anywhere the simulator builds, with zero extra dependencies
+// (std::filesystem + iostreams only). What it gains over line regexes
+// is a real lexical model: every rule sees
 // a stream of identifiers, literals, punctuation, comments, and folded
 // preprocessor directives with exact file:line:col positions — so a
 // string containing "rand()" is data, a wrapped catalogue entry is one

@@ -26,7 +26,7 @@
 // snapshots are shared across check settings.
 //
 // Invariant IDs are stable, documented strings (docs/CHECKING.md);
-// tools/ppf_lint fails the tree if an ID used in code is undocumented.
+// ppf_analyze fails the tree if an ID used in code is undocumented.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,18 @@ std::string bad_value(std::string_view key, const std::string& value) {
   return m;
 }
 
+/// The value under `key` parsed by `parse`; `fallback` when absent.
+template <typename T>
+T get_parsed(const std::map<std::string, std::string>& entries,
+             std::string_view key, T fallback,
+             std::optional<T> (*parse)(const std::string&)) {
+  const auto it = entries.find(std::string(key));
+  if (it == entries.end()) return fallback;
+  const std::optional<T> v = parse(it->second);
+  if (!v) throw std::invalid_argument(bad_value(key, it->second));
+  return *v;
+}
+
 }  // namespace
 
 ParamMap ParamMap::from_args(int argc, const char* const* argv) {
@@ -45,48 +57,55 @@ bool ParamMap::has(std::string_view key) const {
   return entries_.find(std::string(key)) != entries_.end();
 }
 
-std::uint64_t ParamMap::get_u64(std::string_view key,
-                                std::uint64_t fallback) const {
-  const auto it = entries_.find(std::string(key));
-  if (it == entries_.end()) return fallback;
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
   // std::stoull accepts a leading '-' and silently wraps it modulo 2^64
   // ("-1" -> 18446744073709551615), which is never what a knob override
   // means; it also parses whitespace-only values as "no digits" only
   // after skipping them. Reject both shapes up front.
-  const std::size_t first = it->second.find_first_not_of(" \t");
-  if (first == std::string::npos || it->second[first] == '-') {
-    throw std::invalid_argument(bad_value(key, it->second));
-  }
+  const std::size_t first = text.find_first_not_of(" \t");
+  if (first == std::string::npos || text[first] == '-') return std::nullopt;
   try {
     std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos, 0);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
+    const std::uint64_t v = std::stoull(text, &pos, 0);
+    if (pos != text.size()) return std::nullopt;
     return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument(bad_value(key, it->second));
+    return std::nullopt;
   }
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(text, &pos);
+    if (pos != text.size()) return std::nullopt;
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<bool> parse_bool(const std::string& text) {
+  if (text == "1" || text == "true" || text == "yes" || text == "on") {
+    return true;
+  }
+  if (text == "0" || text == "false" || text == "no" || text == "off") {
+    return false;
+  }
+  return std::nullopt;
+}
+
+std::uint64_t ParamMap::get_u64(std::string_view key,
+                                std::uint64_t fallback) const {
+  return get_parsed(entries_, key, fallback, parse_u64);
 }
 
 double ParamMap::get_double(std::string_view key, double fallback) const {
-  const auto it = entries_.find(std::string(key));
-  if (it == entries_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(bad_value(key, it->second));
-  }
+  return get_parsed(entries_, key, fallback, parse_double);
 }
 
 bool ParamMap::get_bool(std::string_view key, bool fallback) const {
-  const auto it = entries_.find(std::string(key));
-  if (it == entries_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument(bad_value(key, v));
+  return get_parsed(entries_, key, fallback, parse_bool);
 }
 
 std::string ParamMap::get_string(std::string_view key,

@@ -5,10 +5,19 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace ppf {
+
+/// The value grammars of ParamMap's typed getters, for callers that
+/// report their own errors: std::nullopt when `text` does not parse.
+/// Integers are unsigned (decimal, 0x hex or 0 octal; a '-' is rejected
+/// rather than wrapped); bools are 1|true|yes|on or 0|false|no|off.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
+[[nodiscard]] std::optional<bool> parse_bool(const std::string& text);
 
 /// Parses "key=value" tokens (argv style) into a typed lookup map.
 ///

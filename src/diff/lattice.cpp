@@ -6,52 +6,6 @@
 
 namespace ppf::diff {
 
-const std::vector<Knob>& default_lattice() {
-  // Values are drawn from the paper's evaluated design space plus the
-  // boundary settings the tests already exercise. Keys the harness
-  // reserves for itself (check/check_period/check_fail_at/diff_fail_at,
-  // instructions/warmup/seed) are deliberately absent: the oracles set
-  // those, and sampling them would fight the pairings.
-  static const std::vector<Knob> lattice = {
-      {"filter",
-       {"none", "pa", "pc", "static", "adaptive", "deadblock", "perceptron"}},
-      {"history_entries", {"256", "1024", "4096"}},
-      {"history_bits", {"1", "2", "3"}},
-      {"history_init", {"0", "1"}},
-      {"history_hash", {"modulo", "fold-xor", "fibonacci", "mix64"}},
-      {"source_separated", {"0", "1"}},
-      {"recovery_entries", {"0", "8", "32"}},
-      {"l1d_kb", {"8", "16", "32"}},
-      {"l1d_ports", {"3", "4", "5"}},
-      {"l2_kb", {"256", "512"}},
-      {"line_bytes", {"16", "32", "64"}},
-      {"mem_latency", {"60", "120", "200"}},
-      {"bus_cycles_per_beat", {"2", "4"}},
-      {"queue_entries", {"8", "16", "32"}},
-      {"mshr", {"0", "4", "8"}},
-      {"victim_entries", {"0", "8"}},
-      {"prefetch_l2", {"0", "1"}},
-      {"prefetch_buffer", {"0", "1"}},
-      // Registry-keyed prefetcher lists (replaces the old per-prefetcher
-      // booleans; order within a list is part of the machine).
-      {"prefetchers",
-       {"", "nsp", "nsp,sdp", "sdp,nsp", "nsp,sdp,stride", "stride,markov",
-        "nsp,sdp,pmp", "pmp", "stream_buffer,nsp"}},
-      {"nsp_degree", {"1", "2", "4"}},
-      {"replacement", {"lru", "fifo", "random", "srrip", "brrip", "lip"}},
-      {"pmp_region_lines", {"16", "32"}},
-      {"pmp_degree_cap", {"0", "4", "8"}},
-      {"taxonomy", {"0", "1"}},
-      {"swpf", {"0", "1"}},
-      {"core_model", {"occupancy", "dataflow"}},
-      {"width", {"2", "4"}},
-      {"rob", {"32", "64"}},
-      {"lsq", {"16", "32"}},
-      {"dep_prob", {"0.0", "0.25", "0.5"}},
-  };
-  return lattice;
-}
-
 bool ConfigPoint::has(std::string_view key) const {
   for (const auto& [k, v] : overrides) {
     if (k == key) return true;
@@ -100,12 +54,16 @@ ConfigPoint sample_point(Xorshift& rng, const SampleSpec& spec) {
   pt.instructions =
       spec.instruction_budgets[rng.below(spec.instruction_budgets.size())];
   pt.warmup = spec.warmups[rng.below(spec.warmups.size())];
-  for (const Knob& knob : default_lattice()) {
+  // Keys the harness reserves for itself (instructions/warmup/seed, the
+  // check and diff_fail_at hooks) have no samples: the oracles set those,
+  // and sampling them would fight the pairings.
+  for (const sim::ConfigRow& row : sim::config_schema()) {
+    if (row.samples.empty()) continue;
     // One chance() draw per knob whether or not it is included, so the
     // frame and every knob consume a fixed slice of the stream.
     const bool include = rng.chance(spec.knob_prob);
-    const std::uint64_t pick = rng.below(knob.values.size());
-    if (include) pt.overrides.emplace_back(knob.key, knob.values[pick]);
+    const std::uint64_t pick = rng.below(row.samples.size());
+    if (include) pt.overrides.emplace_back(row.name, row.samples[pick]);
   }
   return pt;
 }

@@ -1,10 +1,11 @@
 // ppf::diff — configuration lattice sampling.
 //
 // The differential harness does not enumerate configurations; it samples
-// random-but-valid points from a declared knob lattice. Every knob is a
-// docs/CONFIG.md override key with a closed set of known-good values, so
-// a sampled point is always a configuration the simulator accepts — a
-// throw from to_config() is itself a harness bug, never "bad luck".
+// random-but-valid points from a knob lattice: the rows of
+// sim::config_schema() that carry sample values, each an override key
+// with a closed set of known-good values in its domain. So a sampled
+// point is always a configuration the simulator accepts — a throw from
+// to_config() is itself a harness bug, never "bad luck".
 //
 // Sampling is deterministic: a point is a pure function of the Xorshift
 // stream it is drawn from, and the harness derives one stream per trial
@@ -23,17 +24,6 @@
 #include "sim/sim_config.hpp"
 
 namespace ppf::diff {
-
-/// One sampleable knob: an override key (docs/CONFIG.md) plus the closed
-/// set of values the sampler may pick for it.
-struct Knob {
-  std::string key;
-  std::vector<std::string> values;
-};
-
-/// The declared lattice. Every key here must be accepted by
-/// sim::apply_overrides — lattice_roundtrip in tests/diff guards that.
-const std::vector<Knob>& default_lattice();
 
 /// One sampled configuration point: the run frame (benchmark, seed,
 /// instruction budgets) plus an ordered list of key=value overrides.
@@ -73,7 +63,7 @@ struct SampleSpec {
 
 /// Draw one point: pick the frame uniformly, then include each lattice
 /// knob independently with probability `spec.knob_prob` and pick one of
-/// its values uniformly. Deterministic in `rng`.
+/// its samples uniformly, knobs in schema order. Deterministic in `rng`.
 ConfigPoint sample_point(Xorshift& rng, const SampleSpec& spec);
 
 /// Paper-default SimConfig with the point's frame + overrides applied.

@@ -10,7 +10,7 @@
 //
 // Wall-clock only, telemetry only: profiler state never touches config
 // signatures, memo keys, warmup keys, or result bodies. steady_clock is
-// the sanctioned clock (see ppf_lint's no-wallclock-rand rule).
+// the sanctioned clock (see ppf_analyze's no-wallclock-rand rule).
 //
 // Thread safety: record() takes the profiler's own mutex (scopes fire
 // on worker and connection threads concurrently); the histograms are

@@ -25,7 +25,7 @@
 // result bodies (tests/serve/telemetry_test.cpp pins byte-identity with
 // telemetry at max verbosity).
 //
-// Span names are catalogued in span_name_docs(); ppf_lint's
+// Span names are catalogued in span_name_docs(); ppf_analyze's
 // span-name-docs rule requires every name to appear in
 // docs/OBSERVABILITY.md.
 #pragma once
@@ -55,7 +55,7 @@ inline constexpr std::size_t kNumSpanNames = 10;
 const char* to_string(SpanName n);
 
 /// Span-name catalogue (the span analogue of serve::verb_docs()).
-/// ppf_lint's span-name-docs rule checks each name appears in
+/// ppf_analyze's span-name-docs rule checks each name appears in
 /// docs/OBSERVABILITY.md.
 struct SpanNameDoc {
   std::string name;

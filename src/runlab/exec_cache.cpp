@@ -86,8 +86,10 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
   SnapshotPtr snap;
   {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabProbe);
-    raise_watermark(job);
     arena = arena_for(job);
+    // Only after the build: a failed one (an arena too large to
+    // allocate) must not size every later build of the trace.
+    raise_watermark(job);
     if (shares_warmup(job)) snap = snapshot_for(job, arena);
   }
   if (timings != nullptr) timings->probe_ms = ms_since(probe_start);

@@ -60,8 +60,8 @@ struct ParseResult {
 [[nodiscard]] std::string result_response(std::uint64_t id, bool cached,
                                           const std::string& body);
 
-/// Protocol verb catalogue (the serve analogue of sim::override_docs).
-/// ppf_lint's serve-verb-docs rule checks each verb appears in
+/// Protocol verb catalogue (the serve analogue of sim::config_schema).
+/// ppf_analyze's serve-verb-docs rule checks each verb appears in
 /// docs/SERVE.md.
 struct VerbDoc {
   std::string verb;

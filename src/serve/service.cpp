@@ -9,7 +9,6 @@
 
 #include "check/check.hpp"
 #include "diff/signature.hpp"
-#include "registry/registry.hpp"
 #include "runlab/runner.hpp"
 #include "runlab/sinks.hpp"
 #include "sim/config_apply.hpp"
@@ -151,13 +150,8 @@ runlab::Job Service::make_job(const std::string& config) const {
     }
     params.set(tok.substr(0, eq), tok.substr(eq + 1));
   }
-  // Same contract as the ppf_batch CLI: bench/filter are driver keys,
-  // everything else must be a documented machine override.
-  const std::string unknown =
-      sim::first_unknown_key(params, {"bench", "filter"});
-  if (!unknown.empty()) {
-    throw std::invalid_argument("unknown config key: " + unknown);
-  }
+  // bench is the one driver key; everything else must be a machine
+  // override, parsed against its config_schema() domain.
   const std::string bench = params.get_string("bench", "");
   if (bench.empty()) {
     throw std::invalid_argument("config must name bench=");
@@ -171,19 +165,8 @@ runlab::Job Service::make_job(const std::string& config) const {
   job.benchmark = bench;
   job.config = sim::SimConfig::paper_default();
   job.config.max_instructions = cfg_.default_instructions;
-  ParamMap machine;
-  for (const auto& [k, v] : params.entries()) {
-    if (k != "bench" && k != "filter") machine.set(k, v);
-  }
-  sim::apply_overrides(job.config, machine);
-  if (params.has("filter")) {
-    const std::string f = params.get_string("filter", "");
-    if (!registry::has_filter(f)) {
-      throw std::invalid_argument("unknown filter '" + f + "' (valid: " +
-                                  registry::valid_filter_values() + ")");
-    }
-    job.config.filter = f;
-  }
+  static const std::vector<std::string> driver_keys = {"bench"};
+  sim::apply_overrides(job.config, params, driver_keys);
   job.filter_name = job.config.filter;
   job.seed = job.config.seed;
   return job;

@@ -1,4 +1,11 @@
 // Whole-machine configuration, defaulting to the paper's Table 1.
+//
+// Every field that a key sets or that shapes warm state has a row in
+// sim::config_schema() (sim/config_apply.hpp): its override key, domain,
+// and whether it belongs in sim::warmup_key. Only energy, obs and the
+// cache names have none. Give a new field a row there; a field that
+// shapes warm state but has no row is invisible to warmup_key, and no
+// test can notice.
 #pragma once
 
 #include <cstdint>

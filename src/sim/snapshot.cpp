@@ -1,21 +1,11 @@
 #include "sim/snapshot.hpp"
 
-#include <sstream>
-
 #include "common/assert.hpp"
+#include "sim/config_apply.hpp"
 
 namespace ppf::sim {
 
-namespace {
-
-void key_cache(std::ostringstream& os, const mem::CacheConfig& c) {
-  os << c.size_bytes << '/' << c.line_bytes << '/' << c.associativity << '/'
-     << c.latency << '/' << c.ports << '/'
-     << static_cast<int>(c.replacement);
-}
-
-}  // namespace
-
+// The key is the values of the warm rows of config_schema().
 // Note: cfg.obs, cfg.check, and cfg.diff_fail_at are deliberately NOT
 // part of the key. Observability never shapes machine state (the
 // recorder only reads counters), invariant checks only read component
@@ -25,47 +15,14 @@ void key_cache(std::ostringstream& os, const mem::CacheConfig& c) {
 // Recorder/Checker after cloning, and a fault-injected job fails at the
 // run_from_snapshot entry without touching the shared snapshot.
 std::string warmup_key(const SimConfig& cfg) {
-  std::ostringstream os;
-  os << to_string(cfg.core_model) << '|' << cfg.core.width << ','
-     << cfg.core.rob_entries << ',' << cfg.core.lsq_entries << ','
-     << cfg.core.exec_latency << ',' << cfg.core.mispredict_penalty << ','
-     << cfg.core.inst_bytes << ',' << cfg.core.ifetch_line_bytes << ','
-     << cfg.core.dep_on_load_prob << ',' << cfg.core.seed << ','
-     << cfg.core.bimodal.entries << ',' << cfg.core.bimodal.counter_bits
-     << ',' << cfg.core.bimodal.inst_bytes << ',' << cfg.core.btb.sets << ','
-     << cfg.core.btb.ways << ',' << cfg.core.btb.inst_bytes << '|';
-  key_cache(os, cfg.l1d);
-  os << '|';
-  key_cache(os, cfg.l1i);
-  os << '|';
-  key_cache(os, cfg.l2);
-  os << '|' << cfg.bus.width_bytes << ',' << cfg.bus.cycles_per_beat << '|'
-     << cfg.dram.latency << '|' << cfg.prefetch_queue_entries << ','
-     << cfg.mshr_entries << ',' << cfg.victim_cache_entries << ','
-     << cfg.prefetch_to_l2 << ',' << cfg.use_prefetch_buffer << ','
-     << cfg.prefetch_buffer_entries << '|';
-  // Prefetcher list, in order (order shapes warm state). Registry keys
-  // never contain ',' so the joined form is unambiguous.
-  for (std::size_t i = 0; i < cfg.prefetchers.size(); ++i) {
-    if (i > 0) os << ',';
-    os << cfg.prefetchers[i];
+  std::string key;
+  key.reserve(384);
+  for (const ConfigRow& row : config_schema()) {
+    if (!row.warm) continue;
+    row.access.get(cfg, key);
+    key += '|';
   }
-  os << ';' << cfg.nsp_degree << ',' << cfg.enable_sw_prefetch << ','
-     << cfg.pmp.region_lines << ',' << cfg.pmp.filter_entries << ','
-     << cfg.pmp.accum_entries << ',' << cfg.pmp.degree_cap << '|'
-     << cfg.filter << ',' << cfg.history.entries << ','
-     << cfg.history.counter_bits << ','
-     << static_cast<int>(cfg.history.init_value) << ','
-     << static_cast<int>(cfg.history.hash) << ','
-     << cfg.history.source_separated << ','
-     << cfg.adaptive.accuracy_threshold << ','
-     << cfg.adaptive.release_threshold << ',' << cfg.adaptive.window << ','
-     << cfg.deadblock.age_multiple << ',' << cfg.perceptron.table_entries
-     << ',' << cfg.perceptron.weight_bits << ',' << cfg.perceptron.theta
-     << ',' << cfg.filter_recovery_entries
-     << '|' << cfg.enable_taxonomy << '|' << cfg.warmup_instructions << '|'
-     << cfg.seed;
-  return os.str();
+  return key;
 }
 
 std::size_t WarmupSnapshot::estimated_bytes() const {

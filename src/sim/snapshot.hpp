@@ -16,12 +16,15 @@
 // regrown arena extends the old one record for record.
 //
 // Sharing rule: a snapshot made from config A may serve a job with config
-// B iff warmup_key(A) == warmup_key(B). The key serialises every
-// SimConfig field except max_instructions and energy — in particular it
-// includes the filter kind and its tables, because the filter gates which
-// prefetches fill the caches *during warmup* and therefore shapes the
-// warm state. Any new SimConfig field must be added to warmup_key() or
-// snapshots will be wrongly shared across configs that differ in it.
+// B iff warmup_key(A) == warmup_key(B). The key serialises the value of
+// every warm row of sim::config_schema() (sim/config_apply.hpp) — every
+// field except the measurement window, energy, obs and check settings and
+// the diff_fail_at hook. In particular it includes the filter kind and
+// its tables, because the filter gates which prefetches fill the caches
+// *during warmup* and therefore shapes the warm state. A new SimConfig
+// field must get a row in config_schema(), or snapshots will be wrongly
+// shared across configs that differ in it; no test can catch a field
+// that has no row.
 #pragma once
 
 #include <memory>
@@ -73,8 +76,8 @@ class WarmupSnapshot {
 };
 
 /// Serialised warmup-relevant configuration: equal keys <=> identical
-/// warmup behaviour. Excludes max_instructions and energy prices; see the
-/// file comment for the invariant this encodes.
+/// warmup behaviour. The warm rows' values in table order, doubles
+/// exact; see the file comment for the invariant this encodes.
 [[nodiscard]] std::string warmup_key(const SimConfig& cfg);
 
 /// Run the warmup phase of `cfg` over `arena` once and freeze the machine

@@ -118,20 +118,5 @@ TEST(Diagnostics, SortIsByFileLineColRule) {
   EXPECT_EQ(d[3].file, "b.cpp");
 }
 
-TEST(Engine, LegacyRuleSetIsTheTenLintRules) {
-  const auto& legacy = legacy_lint_rules();
-  EXPECT_EQ(legacy.size(), 10u);
-  // Every legacy rule is also in the full catalogue.
-  for (const std::string& r : legacy) {
-    bool found = false;
-    for (const RuleInfo& info : all_rules()) found |= r == info.name;
-    EXPECT_TRUE(found) << r;
-  }
-  // And the new passes are not in the legacy set.
-  EXPECT_EQ(legacy.count("taint-wallclock"), 0u);
-  EXPECT_EQ(legacy.count("layer-cycle"), 0u);
-  EXPECT_EQ(legacy.count("lock-unguarded-field"), 0u);
-}
-
 }  // namespace
 }  // namespace ppf::analyze

@@ -19,27 +19,29 @@ namespace ppf::diff {
 namespace {
 
 TEST(Lattice, EveryKnobKeyIsADocumentedOverride) {
-  std::set<std::string> known;
-  for (const sim::OverrideDoc& d : sim::override_docs()) known.insert(d.key);
-  for (const Knob& knob : default_lattice()) {
-    EXPECT_TRUE(known.count(knob.key) == 1)
-        << "lattice knob '" << knob.key << "' is not an override key";
-    EXPECT_FALSE(knob.values.empty()) << knob.key;
+  // The lattice is the schema rows with samples; each is an override key.
+  std::size_t knobs = 0;
+  for (const sim::ConfigRow& row : sim::config_schema()) {
+    if (row.samples.empty()) continue;
+    ++knobs;
+    EXPECT_TRUE(row.key) << "lattice knob '" << row.name
+                         << "' is not an override key";
   }
+  EXPECT_GT(knobs, 0u);
 }
 
 TEST(Lattice, EveryKnobValueBuildsAValidConfig) {
   // One config per (knob, value): apply_overrides must accept each in
   // isolation — a sampled point is valid by construction.
-  for (const Knob& knob : default_lattice()) {
-    for (const std::string& value : knob.values) {
+  for (const sim::ConfigRow& row : sim::config_schema()) {
+    for (const std::string_view value : row.samples) {
       ConfigPoint pt;
       pt.benchmark = "mcf";
       pt.seed = 1;
       pt.instructions = 1000;
       pt.warmup = 0;
-      pt.overrides.emplace_back(knob.key, value);
-      EXPECT_NO_THROW((void)to_config(pt)) << knob.key << "=" << value;
+      pt.overrides.emplace_back(row.name, value);
+      EXPECT_NO_THROW((void)to_config(pt)) << row.name << "=" << value;
     }
   }
 }

@@ -75,15 +75,11 @@ runlab::Job parse_job(const std::string& config, std::size_t index) {
   const ParamMap params =
       ParamMap::from_args(static_cast<int>(argv.size()), argv.data());
 
-  ParamMap machine;
-  for (const auto& [key, value] : params.entries()) {
-    if (key != "bench" && key != "sample_interval") machine.set(key, value);
-  }
   runlab::Job job;
   job.index = index;
   job.benchmark = params.get_string("bench", "");
   job.config = sim::SimConfig::paper_default();
-  sim::apply_overrides(job.config, machine);
+  sim::apply_overrides(job.config, params, {"bench", "sample_interval"});
   if (params.has("sample_interval")) {
     job.config.obs.enabled = true;
     job.config.obs.sample_interval = params.get_u64("sample_interval", 0);

@@ -3,17 +3,17 @@
 
 namespace ppf::sim {
 
-struct OverrideDoc {
-  std::string key;
+struct ConfigRow {
+  std::string name;
   std::string help;
 };
 
-const std::vector<OverrideDoc>& override_docs() {
-  static const std::vector<OverrideDoc> docs = {
+const std::vector<ConfigRow>& config_schema() {
+  static const std::vector<ConfigRow> rows = {
       {"documented_knob", "this one is in the fixture README"},
       {"mystery_knob", "this one is documented nowhere"},
   };
-  return docs;
+  return rows;
 }
 
 }  // namespace ppf::sim

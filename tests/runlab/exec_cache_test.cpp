@@ -155,6 +155,20 @@ TEST(ExecCache, NoteDemandSizesTheArenaOnce) {
   EXPECT_EQ(st.trace_hits, 1u);
 }
 
+TEST(ExecCache, FailedBuildDoesNotSizeLaterBuilds) {
+  // 2^60 records exceed every column's max_size, so the build throws at
+  // once. Its need must not stay in the trace's watermark, or every
+  // later build of mcf/42 would be sized to it and fail the same way.
+  ExecCache cache;
+  EXPECT_THROW(
+      (void)cache.execute(cached_job("mcf", 42, std::uint64_t{1} << 60, 0)),
+      std::exception);
+  const Job small = cached_job("mcf", 42, 20'000, 0);
+  EXPECT_EQ(diff::result_signature(cache.execute(small)),
+            diff::result_signature(execute_job(small)));
+  EXPECT_EQ(cache.stats().trace_builds, 2u);
+}
+
 Job with_window(Job job, std::uint64_t instructions) {
   job.config.max_instructions = instructions;
   return job;

@@ -148,7 +148,9 @@ TEST(Signature, DistinctMachinesDoForkMemoKeys) {
   const runlab::Job base = service.make_job(kTinyConfig);
   for (const char* delta :
        {"seed=9", "instructions=30000", "warmup=5000", "history_entries=256",
-        "source_separated=0", "l1d_kb=16", "filter=pa"}) {
+        "source_separated=0", "l1d_kb=16", "filter=pa",
+        // Within 1e-6 of the default 0.25: doubles are keyed exactly.
+        "dep_prob=0.2500004"}) {
     const runlab::Job other =
         service.make_job(std::string(kTinyConfig) + " " + delta);
     EXPECT_NE(diff::config_signature(other.config, other.benchmark),
@@ -201,6 +203,20 @@ TEST(Service, RepeatRunsAreServedFromMemoByteIdentically) {
   EXPECT_EQ(counter_value(service, "serve.memo_hits"), 1u);
   EXPECT_EQ(counter_value(service, "serve.memo_misses"), 1u);
   EXPECT_EQ(counter_value(service, "serve.admitted"), 1u);
+}
+
+TEST(Service, FailedArenaBuildDoesNotPoisonItsTrace) {
+  // 2^60 instructions fail the arena build at once. That need must not
+  // stay in the trace's watermark, or the next run of the same trace
+  // would be sized to it and fail the same way.
+  Service service(tiny_service_config());
+  const Handled huge = service.handle(
+      run_request(1, "bench=mcf instructions=1152921504606846976 warmup=0"));
+  EXPECT_NE(huge.response.find("\"code\":\"internal\""), std::string::npos)
+      << huge.response;
+  const Handled next = service.handle(run_request(2, kTinyConfig));
+  EXPECT_NE(next.response.find("\"ok\":true"), std::string::npos)
+      << next.response;
 }
 
 TEST(Service, CheckKnobsDoNotForkMemoEntries) {
@@ -460,8 +476,9 @@ TEST(Server, ProtocolErrorsAreAnsweredNotFatal) {
 }
 
 TEST(Server, CoreShapesTheTimingModelCannotRunAreRejectedNotFatal) {
-  // rob < width, width=0 and lsq=0 used to reach a PPF_CHECK in the core
-  // constructor and abort the daemon, dropping every connection.
+  // rob < width, width=0, lsq=0, nsp_degree=0 and l2_kb=3 used to reach
+  // a PPF_CHECK in a component constructor and abort the daemon,
+  // dropping every connection.
   Service service(tiny_service_config());
   Server server(service, {});
   ShutdownRequest shutdown;
@@ -471,8 +488,10 @@ TEST(Server, CoreShapesTheTimingModelCannotRunAreRejectedNotFatal) {
     ASSERT_TRUE(conn.connected());
     const std::pair<const char*, const char*> bad[] = {
         {"rob=4", "rob must be >= width (rob=4, width=8)"},
-        {"width=0", "width must be >= 1 (width=0)"},
-        {"lsq=0", "lsq must be >= 1 (lsq=0)"},
+        {"width=0", "width=0: expected an integer in [1, 1024]"},
+        {"lsq=0", "lsq=0: expected an integer in [1, 1048576]"},
+        {"nsp_degree=0", "nsp_degree=0: expected an integer in [1, 64]"},
+        {"l2_kb=3", "l2_kb=3: expected a power of two in [4, 65536]"},
     };
     std::uint64_t id = 1;
     for (const auto& [knob, message] : bad) {
@@ -491,7 +510,7 @@ TEST(Server, CoreShapesTheTimingModelCannotRunAreRejectedNotFatal) {
     EXPECT_EQ(ok.rfind("{\"op\":\"result\",\"id\":9,", 0), 0u) << ok;
     EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
   }
-  EXPECT_EQ(counter_value(service, "serve.bad_configs"), 3u);
+  EXPECT_EQ(counter_value(service, "serve.bad_configs"), 5u);
 
   shutdown.request();
   daemon.join();

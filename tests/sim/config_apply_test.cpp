@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "registry/registry.hpp"
+#include "sim/simulator.hpp"
+#include "sim/snapshot.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace ppf::sim {
 namespace {
@@ -96,8 +103,8 @@ TEST(ConfigApply, CoreShapesTheTimingModelsCannotRunThrow) {
   // process: one serve request could kill the daemon.
   const std::vector<std::pair<ParamMap, std::string>> bad = {
       {params({"rob=4"}), "rob must be >= width (rob=4, width=8)"},
-      {params({"width=0"}), "width must be >= 1 (width=0)"},
-      {params({"lsq=0"}), "lsq must be >= 1 (lsq=0)"},
+      {params({"width=0"}), "width=0: expected an integer in [1, 1024]"},
+      {params({"lsq=0"}), "lsq=0: expected an integer in [1, 1048576]"},
       {params({"width=4", "rob=2"}), "rob must be >= width (rob=2, width=4)"},
   };
   for (const auto& [p, message] : bad) {
@@ -146,32 +153,6 @@ TEST(ConfigApply, LineBytesPropagatesEverywhere) {
   EXPECT_EQ(cfg.core.ifetch_line_bytes, 64u);
 }
 
-TEST(ConfigApply, EveryDocumentedKeyIsAccepted) {
-  // Property: the help list and the apply function stay in sync.
-  SimConfig cfg;
-  for (const OverrideDoc& d : override_docs()) {
-    ParamMap p;
-    // Pick a value that parses under any of the typed getters used.
-    // Pick a value that parses under the getter each key uses (bool
-    // keys reject plain integers above 1).
-    static const std::set<std::string> bool_keys = {
-        "source_separated", "prefetch_buffer", "swpf", "taxonomy",
-        "prefetch_l2"};
-    p.set(d.key, d.key == "filter"         ? "pa"
-                 : d.key == "core_model"   ? "dataflow"
-                 : d.key == "history_hash" ? "modulo"
-                 : d.key == "check"        ? "paranoid"
-                 : d.key == "dep_prob"     ? "0.3"
-                 : d.key == "l1d_ports"    ? "4"
-                 : d.key == "history_entries" ? "4096"
-                 : d.key == "prefetchers"  ? "nsp,stride"
-                 : d.key == "replacement"  ? "srrip"
-                 : bool_keys.count(d.key)  ? "1"
-                                           : "8");
-    EXPECT_NO_THROW(apply_overrides(cfg, p)) << d.key;
-  }
-}
-
 TEST(ConfigApply, DriverKeyListsCarryTheObservabilityKnobs) {
   // Both CLIs must accept the obs sinks through their typo rejection.
   for (const auto* keys : {&ppf_sim_driver_keys(), &ppf_batch_driver_keys()}) {
@@ -208,20 +189,163 @@ TEST(ConfigApply, FirstUnknownKeyAcceptsObsKnobsRejectsTypos) {
 TEST(ConfigApply, PrintConfigMentionsKeyFacts) {
   SimConfig cfg;
   cfg.filter = "pa";
+  cfg.core.dep_on_load_prob = 0.1;
   std::ostringstream os;
   print_config(os, cfg);
   const std::string out = os.str();
-  EXPECT_NE(out.find("8KB direct-mapped"), std::string::npos);
-  EXPECT_NE(out.find("filter: pa"), std::string::npos);
-  EXPECT_NE(out.find("512KB"), std::string::npos);
+  EXPECT_NE(out.find("l1d_kb=8 "), std::string::npos);
+  EXPECT_NE(out.find("filter=pa "), std::string::npos);
+  EXPECT_NE(out.find("l2_kb=512 "), std::string::npos);
+  EXPECT_NE(out.find("perceptron_theta=12 "), std::string::npos);
+  EXPECT_NE(out.find("dep_prob=0.1\n"), std::string::npos);
+
+  // The echo names every override key and pastes back into ppf_sim: the
+  // same tokens, with the shell continuations dropped, rebuild the config.
+  std::istringstream tokens(out);
+  ParamMap echoed;
+  for (std::string tok; tokens >> tok;) {
+    if (tok == "\\") continue;
+    const std::size_t eq = tok.find('=');
+    ASSERT_NE(eq, std::string::npos) << tok;
+    echoed.set(tok.substr(0, eq), tok.substr(eq + 1));
+  }
+  std::size_t keys = 0;
+  for (const ConfigRow& row : config_schema()) keys += row.key ? 1 : 0;
+  EXPECT_EQ(echoed.entries().size(), keys);
+  SimConfig back;
+  apply_overrides(back, echoed);
+  EXPECT_EQ(warmup_key(back), warmup_key(cfg));
+  EXPECT_EQ(back.max_instructions, cfg.max_instructions);
 }
 
-TEST(ConfigApply, HashKindParsing) {
-  EXPECT_EQ(parse_hash_kind("modulo"), HashKind::Modulo);
-  EXPECT_EQ(parse_hash_kind("foldxor"), HashKind::FoldXor);
-  EXPECT_EQ(parse_hash_kind("fibonacci"), HashKind::Fibonacci);
-  EXPECT_EQ(parse_hash_kind("mix64"), HashKind::Mix64);
-  EXPECT_THROW(parse_hash_kind("sha256"), std::invalid_argument);
+// --- the config schema, property by property ----------------------------
+
+/// Values of `row`'s domain worth trying: both bounds, every name.
+std::vector<std::string> candidates(const ConfigRow& row) {
+  const Domain& d = row.domain;
+  switch (d.kind) {
+    case Domain::Kind::Int:
+    case Domain::Kind::Pow2:
+      return {std::to_string(d.lo), std::to_string(d.hi)};
+    case Domain::Kind::Real: {
+      std::ostringstream lo, hi;
+      lo.precision(17);
+      hi.precision(17);
+      lo << d.real_lo;
+      hi << d.real_hi;
+      return {lo.str(), hi.str()};
+    }
+    case Domain::Kind::Bool:
+      return {"0", "1"};
+    case Domain::Kind::Name:
+      return d.names();
+    case Domain::Kind::Prefetchers:
+      return registry::prefetcher_keys();
+    case Domain::Kind::Replacement:
+      return registry::replacement_keys();
+  }
+  return {};
+}
+
+std::string value_of(const ConfigRow& row, const SimConfig& cfg) {
+  std::string out;
+  row.access.get(cfg, out);
+  return out;
+}
+
+TEST(ConfigSchema, DefaultsAndSamplesLieInTheirDomains) {
+  const SimConfig def = SimConfig::paper_default();
+  for (const ConfigRow& row : config_schema()) {
+    EXPECT_NO_THROW((void)row.domain.parse(row.name, value_of(row, def)))
+        << row.name << " default " << value_of(row, def);
+    for (const std::string_view sample : row.samples) {
+      EXPECT_NO_THROW((void)row.domain.parse(row.name, std::string(sample)))
+          << row.name << "=" << sample;
+    }
+    EXPECT_TRUE(row.key || row.samples.empty()) << row.name;
+  }
+}
+
+TEST(ConfigSchema, IntegerBoundsRunOrThrowAndNeighboursThrow) {
+  // Two bases that between them build every component: each integer
+  // key's bounds must either run or be a typed error, never an abort.
+  using Overrides = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<Overrides> bases = {
+      {{"filter", "pa"},
+       {"prefetchers", "nsp,sdp,stride,markov,pmp"},
+       {"victim_entries", "8"}},
+      {{"filter", "perceptron"},
+       {"core_model", "dataflow"},
+       {"prefetch_buffer", "1"},
+       {"prefetchers", "stream_buffer"}},
+  };
+  const auto apply = [](const Overrides& base, const std::string& key,
+                        const std::string& value) {
+    ParamMap p;
+    for (const auto& [k, v] : base) p.set(k, v);
+    p.set(key, value);
+    SimConfig cfg;
+    apply_overrides(cfg, p);
+    return cfg;
+  };
+  for (const ConfigRow& row : config_schema()) {
+    const Domain& d = row.domain;
+    if (!row.key ||
+        (d.kind != Domain::Kind::Int && d.kind != Domain::Kind::Pow2)) {
+      continue;
+    }
+    std::vector<std::uint64_t> outside;
+    if (d.lo > 0) outside.push_back(d.lo - 1);
+    if (d.hi < UINT64_MAX) outside.push_back(d.hi + 1);
+    if (d.kind == Domain::Kind::Pow2) {
+      for (const std::uint64_t v : {d.lo + 1, d.hi - 1}) {
+        if (v >= d.lo && v <= d.hi && (v & (v - 1)) != 0) outside.push_back(v);
+      }
+    }
+    for (const auto& base : bases) {
+      for (const std::uint64_t v : {d.lo, d.hi}) {
+        SimConfig cfg;
+        try {
+          cfg = apply(base, std::string(row.name), std::to_string(v));
+        } catch (const std::invalid_argument&) {
+          continue;  // a typed error (rob below width) is fine
+        }
+        cfg.max_instructions = 300;
+        const auto trace = workload::make_benchmark("mcf", cfg.seed);
+        EXPECT_NO_THROW((void)Simulator(cfg).run(*trace))
+            << row.name << "=" << v;
+      }
+      for (const std::uint64_t v : outside) {
+        EXPECT_THROW(
+            (void)apply(base, std::string(row.name), std::to_string(v)),
+            std::invalid_argument)
+            << row.name << "=" << v;
+      }
+    }
+  }
+}
+
+TEST(ConfigSchema, WarmRowsAndOnlyThoseChangeTheWarmupKey) {
+  // The measurement window, the checker and the fault hook are all that
+  // warmed snapshots may share; every other key (views included, through
+  // the fields they set) and every row with no key must fork the key.
+  const std::set<std::string_view> window_only = {
+      "instructions", "check", "check_period", "check_fail_at",
+      "diff_fail_at"};
+  const SimConfig base = SimConfig::paper_default();
+  for (const ConfigRow& row : config_schema()) {
+    bool changed = false;
+    for (const std::string& text : candidates(row)) {
+      SimConfig cfg = base;
+      row.access.set(cfg, row.domain.parse(row.name, text));
+      if (value_of(row, cfg) == value_of(row, base)) continue;
+      changed = true;
+      EXPECT_EQ(warmup_key(cfg) != warmup_key(base),
+                window_only.count(row.name) == 0)
+          << row.name << "=" << text;
+    }
+    EXPECT_TRUE(changed) << row.name << ": no candidate value differs";
+  }
 }
 
 }  // namespace

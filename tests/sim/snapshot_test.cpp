@@ -190,6 +190,13 @@ TEST(Snapshot, WarmupKeySeparatesWarmupRelevantConfigs) {
   SimConfig other_seed = base;
   other_seed.seed = base.seed + 1;
   EXPECT_NE(warmup_key(base), warmup_key(other_seed));
+
+  // Doubles are keyed exactly, not to six significant digits.
+  SimConfig below = base;
+  SimConfig above = base;
+  below.core.dep_on_load_prob = 0.2499995;
+  above.core.dep_on_load_prob = 0.2500004;
+  EXPECT_NE(warmup_key(below), warmup_key(above));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // One tokenizer (src/analyze) feeds every pass: include-layer DAG
 // against docs/LAYERS.md, determinism taint from the simulation hot
 // path, lock discipline over PPF_GUARDED_BY annotations, unified
-// source<->docs catalogs, and the migrated ppf_lint convention rules.
+// source<->docs catalogs, and the convention rules.
 // Rule catalogue: docs/ANALYSIS.md.
 //
 // Usage: ppf_analyze [--root DIR] [--json] [--sarif FILE]

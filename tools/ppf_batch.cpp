@@ -9,7 +9,6 @@
 //             jobs=8 out=results.json  (one line)
 //   ppf_batch bench=all filter=none,pc csv=results.csv instructions=500000
 //   ppf_batch help=1
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -85,9 +84,7 @@ int usage(const char* argv0) {
     std::cerr << " " << n;
   }
   std::cerr << "\n\nmachine keys:\n";
-  for (const sim::OverrideDoc& d : sim::override_docs()) {
-    std::cerr << "  " << d.key << " — " << d.help << "\n";
-  }
+  sim::print_override_keys(std::cerr);
   return 2;
 }
 
@@ -143,18 +140,11 @@ int main(int argc, char** argv) {
   }
 
   // Machine config: every non-driver key is an override on Table 1.
-  ParamMap machine;
-  for (const auto& [k, v] : params.entries()) {
-    if (std::find(driver_keys.begin(), driver_keys.end(), k) ==
-        driver_keys.end()) {
-      machine.set(k, v);
-    }
-  }
   runlab::SweepSpec spec;
   spec.base = sim::SimConfig::paper_default();
   spec.base.max_instructions = 1'000'000;
   try {
-    sim::apply_overrides(spec.base, machine);
+    sim::apply_overrides(spec.base, params, driver_keys);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return usage(argv[0]);

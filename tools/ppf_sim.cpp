@@ -8,7 +8,6 @@
 //   ppf_sim trace=/tmp/app.ppftrace filter=pa csv=1
 //   ppf_sim bench=mcf filter=pc trace_out=trace.json timeseries_out=ts.json
 //   ppf_sim help=1
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -50,9 +49,7 @@ int usage(const char* argv0) {
     std::cerr << " " << n;
   }
   std::cerr << "\n\nmachine keys:\n";
-  for (const sim::OverrideDoc& d : sim::override_docs()) {
-    std::cerr << "  " << d.key << " — " << d.help << "\n";
-  }
+  sim::print_override_keys(std::cerr);
   return 2;
 }
 
@@ -112,19 +109,10 @@ int main(int argc, char** argv) {
     sample_interval = 50'000;
   }
 
-  // Strip driver-only keys before handing the rest to the machine config.
-  ParamMap machine;
-  for (const auto& [k, v] : params.entries()) {
-    if (std::find(driver_keys.begin(), driver_keys.end(), k) ==
-        driver_keys.end()) {
-      machine.set(k, v);
-    }
-  }
-
   sim::SimConfig cfg = sim::SimConfig::paper_default();
   cfg.max_instructions = 1'000'000;
   try {
-    sim::apply_overrides(cfg, machine);
+    sim::apply_overrides(cfg, params, driver_keys);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return usage(argv[0]);
