@@ -381,10 +381,8 @@ std::string first_unknown_key(const ParamMap& params,
 
 const std::vector<std::string>& ppf_sim_driver_keys() {
   static const std::vector<std::string> keys = {
-      "bench",        "trace",     "csv",
-      "config",       "trace_cache", "warmup_share",
-      "obs",          "sample_interval", "trace_out",
-      "timeseries_out", "help"};
+      "bench",           "trace",     "csv",            "config", "obs",
+      "sample_interval", "trace_out", "timeseries_out", "help"};
   return keys;
 }
 

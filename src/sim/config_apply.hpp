@@ -6,8 +6,8 @@
 // shapes warm state, and a setter/getter pair. Parsing and range checks,
 // --help, print_config, sim::warmup_key, the diff lattice and the key
 // list of the config-key-docs analyzer rule all read the table, so a new
-// knob is one row:
-//   ./bench_fig6 l1d_kb=32 filter=pc history_entries=8192
+// knob is one row, and every CLI takes it as key=value:
+//   ./bench_paper fig=fig6 l1d_kb=32 filter=pc history_entries=8192
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,8 @@
 // synthetic trace generator whose *reference statistics* — instruction
 // mix, branch behaviour, code footprint, and above all the L1/L2 miss
 // rates and the predictability of its prefetches — approximate the
-// corresponding program. DESIGN.md documents the substitution; the
-// bench_table2 binary reports the achieved miss rates next to the
+// corresponding program. DESIGN.md documents the substitution;
+// `bench_paper fig=table2` reports the achieved miss rates next to the
 // paper's.
 #pragma once
 

@@ -18,9 +18,7 @@
 #include "sim/config_apply.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 #include "workload/benchmarks.hpp"
-#include "workload/materialized.hpp"
 
 using namespace ppf;
 
@@ -28,13 +26,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " [bench=<name>|trace=<file>] "
-            << "[csv=0|1] [config=0|1] [trace_cache=0|1] [warmup_share=0|1] "
-            << "[key=value ...]\n\n"
-            << "  trace_cache=0|1  — pre-materialize the benchmark trace and "
-               "run from the arena (default 1; results identical)\n"
-            << "  warmup_share=0|1 — exercise the warmup-snapshot path: pause "
-               "at the warmup boundary, clone, resume (default 0; results "
-               "identical, needs trace_cache=1)\n"
+            << "[csv=0|1] [config=0|1] [key=value ...]\n\n"
             << "observability keys (see docs/OBSERVABILITY.md):\n"
             << "  obs=0|1          — enable the metrics/trace recorder "
                "(implied by the keys below)\n"
@@ -91,8 +83,6 @@ int main(int argc, char** argv) {
   const std::string trace_path = params.get_string("trace", "");
   const bool csv = params.get_bool("csv", false);
   const bool show_config = params.get_bool("config", true);
-  const bool trace_cache = params.get_bool("trace_cache", true);
-  const bool warmup_share = params.get_bool("warmup_share", false);
   const std::string trace_out = params.get_string("trace_out", "");
   const std::string timeseries_out = params.get_string("timeseries_out", "");
   std::uint64_t sample_interval = 0;
@@ -146,28 +136,9 @@ int main(int argc, char** argv) {
 
   sim::SimResult r;
   try {
-    // Named benchmarks can run through the materialized-arena (and, on
-    // request, warmup-snapshot) hot path; captured trace files are
-    // already in memory as a VectorTrace and gain nothing from
-    // materializing.
-    if (trace_cache && trace_path.empty()) {
-      const std::uint64_t warmup =
-          cfg.warmup_instructions < cfg.max_instructions
-              ? cfg.warmup_instructions
-              : 0;
-      const auto arena =
-          workload::materialize(*source, cfg.max_instructions + warmup);
-      std::shared_ptr<const sim::WarmupSnapshot> snap;
-      if (warmup_share) snap = sim::make_warmup_snapshot(cfg, arena);
-      if (snap != nullptr) {
-        r = sim::run_from_snapshot(cfg, *snap, arena);
-      } else {
-        workload::TraceCursor cursor(arena);
-        r = sim::Simulator(cfg).run(cursor);
-      }
-    } else {
-      r = sim::Simulator(cfg).run(*source);
-    }
+    // One run reuses neither a trace arena nor a warmup snapshot, so the
+    // trace streams: memory stays flat however long the run.
+    r = sim::Simulator(cfg).run(*source);
   } catch (const check::CheckViolation& v) {
     // check=final/paranoid found corrupted machine state: report the
     // structured failure (component path, invariant ID, cycle) and fail
