@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
   std::cout << "captured " << captured.size() << " records of '" << bench
             << "' to " << path << "\n";
 
-  // 2. Replay: load the file and run it through the full machine.
+  // 2. Replay: run the file through the full machine, parsing records
+  // as the core fetches them.
   std::ifstream in(path);
-  workload::VectorTrace replay(workload::read_trace(in), bench + "-replay");
+  workload::TextTraceReader replay(in, bench + "-replay");
 
   sim::SimConfig cfg = sim::SimConfig::paper_default();
   cfg.max_instructions = records;

@@ -15,38 +15,9 @@ Xorshift::Xorshift(std::uint64_t seed) {
   if (s0_ == 0 && s1_ == 0) s1_ = 1;
 }
 
-std::uint64_t Xorshift::next() {
-  std::uint64_t x = s0_;
-  const std::uint64_t y = s1_;
-  s0_ = y;
-  x ^= x << 23;
-  s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
-  return s1_ + y;
-}
-
-std::uint64_t Xorshift::below(std::uint64_t bound) {
-  PPF_ASSERT(bound != 0);
-  // Rejection-free multiply-shift reduction; bias is negligible for the
-  // bounds used in workload generation (< 2^32). __extension__ silences
-  // -Wpedantic for the 128-bit intermediate (GCC/Clang builtin).
-  __extension__ using uint128 = unsigned __int128;
-  return static_cast<std::uint64_t>((static_cast<uint128>(next()) * bound) >>
-                                    64);
-}
-
 std::uint64_t Xorshift::between(std::uint64_t lo, std::uint64_t hi) {
   PPF_ASSERT(lo <= hi);
   return lo + below(hi - lo + 1);
-}
-
-double Xorshift::uniform() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Xorshift::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {

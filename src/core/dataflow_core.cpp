@@ -18,8 +18,8 @@ unsigned shift_of(unsigned bytes) {
 
 DataflowCore::DataflowCore(CoreConfig cfg, DataMemory& dmem, InstMemory& imem)
     : cfg_(cfg),
-      dmem_(dmem),
-      imem_(imem),
+      dmem_(&dmem),
+      imem_(&imem),
       bp_(cfg.bimodal),
       btb_(cfg.btb),
       line_shift_(shift_of(cfg.ifetch_line_bytes)) {
@@ -31,54 +31,16 @@ DataflowCore::DataflowCore(CoreConfig cfg, DataMemory& dmem, InstMemory& imem)
 
 DataflowCore::DataflowCore(const DataflowCore& other, DataMemory& dmem,
                            InstMemory& imem, workload::TraceSource& trace)
-    : cfg_(other.cfg_),
-      dmem_(dmem),
-      imem_(imem),
-      bp_(other.bp_),
-      btb_(other.btb_),
-      line_shift_(other.line_shift_) {
-  copy_run_state(other);
+    : DataflowCore(other) {
+  dmem_ = &dmem;
+  imem_ = &imem;
+  set_heartbeat(nullptr);  // the caller rewires it per clone
   // `trace` may hold more records than other's did (a snapshot resumed
   // over a regrown arena), so end of trace is found again by reading it,
   // not inherited. The record sequence is the same either way.
   trace_ = &trace;
-  trace_eof_ = false;
-  if (fbuf_pos_ >= fbuf_len_) refill();
-}
-
-void DataflowCore::copy_run_state(const DataflowCore& o) {
-  rob_ = o.rob_;
-  rob_head_seq_ = o.rob_head_seq_;
-  rob_next_seq_ = o.rob_next_seq_;
-  rob_count_ = o.rob_count_;
-  lsq_count_ = o.lsq_count_;
-  regs_ = o.regs_;
-  ready_mem_ = o.ready_mem_;
-  waiting_mem_ = o.waiting_mem_;
-  waiting_alu_ = o.waiting_alu_;
-  redirect_pending_ = o.redirect_pending_;
-  redirect_seq_ = o.redirect_seq_;
-  redirect_until_ = o.redirect_until_;
-  retired_ = o.retired_;
-  fbuf_ = o.fbuf_;
-  fbuf_pos_ = o.fbuf_pos_;
-  fbuf_len_ = o.fbuf_len_;
-  trace_eof_ = o.trace_eof_;
-  dispatched_ = o.dispatched_;
-  pause_at_ = o.pause_at_;
-  res_ = o.res_;
-  window_snapshot_ = o.window_snapshot_;
-  window_start_ = o.window_start_;
-  now_ = o.now_;
-  cycle_limit_ = o.cycle_limit_;
-  fetch_ready_ = o.fetch_ready_;
-  cur_fetch_line_ = o.cur_fetch_line_;
-  mid_cycle_ = o.mid_cycle_;
-  cycle_trace_active_ = o.cycle_trace_active_;
-  was_rob_full_ = o.was_rob_full_;
-  fetch_stalled_ = o.fetch_stalled_;
-  lsq_blocked_ = o.lsq_blocked_;
-  slots_ = o.slots_;
+  window_.eof = false;
+  if (win_pos_ >= window_.len) refill();
 }
 
 std::unique_ptr<CoreEngine> DataflowCore::clone_rebound(
@@ -93,7 +55,7 @@ DataflowCore::RobEntry& DataflowCore::rob_at(std::uint64_t seq) {
 std::uint64_t DataflowCore::alloc_rob(bool is_mem) {
   PPF_ASSERT(!rob_full());
   const std::uint64_t seq = rob_next_seq_++;
-  rob_at(seq) = RobEntry{kUnknown, is_mem, true};
+  rob_at(seq) = RobEntry{kUnknown, is_mem};
   ++rob_count_;
   if (is_mem) ++lsq_count_;
   return seq;
@@ -110,7 +72,6 @@ void DataflowCore::retire(Cycle now) {
     }
     ++rob_head_seq_;
     --rob_count_;
-    ++retired_;
     ++n;
   }
 }
@@ -172,8 +133,9 @@ void DataflowCore::issue_ready_mem(Cycle now) {
       ++i;
       continue;
     }
-    if (!dmem_.try_reserve_port(now)) break;
-    const Cycle completion = dmem_.demand_access(now, m.pc, m.addr, m.is_store);
+    if (!dmem_->try_reserve_port(now)) break;
+    const Cycle completion =
+        dmem_->demand_access(now, m.pc, m.addr, m.is_store);
     const Cycle done = m.is_store ? now + 1 : completion;
     const std::uint64_t seq = m.seq;
     ready_mem_.erase(ready_mem_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -189,20 +151,18 @@ DataflowCore::RegState DataflowCore::read_src(std::uint8_t r) const {
 }
 
 void DataflowCore::refill() {
-  fbuf_len_ = static_cast<std::uint32_t>(
-      trace_eof_ ? 0 : trace_->next_batch(fbuf_.data(), kFetchBatch));
-  fbuf_pos_ = 0;
-  if (fbuf_len_ < kFetchBatch) trace_eof_ = true;
+  window_.refill(*trace_);
+  win_pos_ = 0;
 }
 
 void DataflowCore::advance() {
-  ++fbuf_pos_;
-  if (fbuf_pos_ >= fbuf_len_ && !trace_eof_) refill();
+  ++win_pos_;
+  if (win_pos_ >= window_.len && !window_.eof) refill();
 }
 
 void DataflowCore::bind(workload::TraceSource& trace) {
   trace_ = &trace;
-  trace_eof_ = false;
+  window_.eof = false;
   refill();
   dispatched_ = 0;
   pause_at_ = 0;
@@ -228,7 +188,7 @@ bool DataflowCore::cycle(std::uint64_t limit) {
     if (!cycle_trace_active_ && rob_count_ == 0) return false;
     PPF_CHECK_MSG(now_ < cycle_limit_, "dataflow core livelock");
 
-    dmem_.begin_cycle(now_);
+    dmem_->begin_cycle(now_);
     retire(now_);
     issue_ready_mem(now_);
 
@@ -246,11 +206,12 @@ bool DataflowCore::cycle(std::uint64_t limit) {
       break;
     }
     if (rob_full()) break;
-    const workload::TraceRecord rec = fbuf_[fbuf_pos_];
+    const workload::TraceRecord rec =
+        window_.records.columns().get(win_pos_);
 
     const Addr line = rec.pc >> line_shift_;
     if (line != cur_fetch_line_) {
-      const Cycle ready = imem_.fetch(now_, rec.pc);
+      const Cycle ready = imem_->fetch(now_, rec.pc);
       cur_fetch_line_ = line;
       if (ready > now_) {
         fetch_ready_ = ready;
@@ -330,7 +291,7 @@ bool DataflowCore::cycle(std::uint64_t limit) {
       }
       case workload::InstKind::SwPrefetch:
         ++res_.sw_prefetches;
-        dmem_.software_prefetch(now_, rec.pc, rec.addr);
+        dmem_->software_prefetch(now_, rec.pc, rec.addr);
         [[fallthrough]];
       case workload::InstKind::Op: {
         WaitingAlu w{seq, 0, rec.dst, now_, false, false};
@@ -378,7 +339,7 @@ bool DataflowCore::cycle(std::uint64_t limit) {
       ++res_.fetch_stall_cycles;
   }
 
-  dmem_.end_cycle(now_);
+  dmem_->end_cycle(now_);
   ++now_;
   return true;
 }
@@ -438,10 +399,10 @@ void DataflowCore::register_checks(check::CheckRegistry& reg) const {
                            std::to_string(rob_next_seq_) + ")";
                   });
     }
-    ctx.require(fbuf_pos_ <= fbuf_len_ && fbuf_len_ <= fbuf_.size(),
+    ctx.require(win_pos_ <= window_.len && window_.len <= kFetchBatch,
                 "core.fetch_buffer", [&] {
-                  return "pos=" + std::to_string(fbuf_pos_) + " len=" +
-                         std::to_string(fbuf_len_);
+                  return "pos=" + std::to_string(win_pos_) + " len=" +
+                         std::to_string(window_.len);
                 });
   });
 }

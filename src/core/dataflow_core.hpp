@@ -18,7 +18,6 @@
 // see core/engine.hpp.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -63,7 +62,6 @@ class DataflowCore final : public CoreEngine {
   struct RobEntry {
     Cycle done = kUnknown;   ///< completion; kUnknown while unresolved
     bool is_mem = false;
-    bool retired_ok = true;  // (reserved)
   };
 
   /// A load/store whose address register is ready, waiting for a port.
@@ -111,8 +109,8 @@ class DataflowCore final : public CoreEngine {
   };
   [[nodiscard]] RegState read_src(std::uint8_t r) const;
 
-  // Fetch-buffer plumbing (batched trace consumption).
-  [[nodiscard]] bool have_rec() const { return fbuf_pos_ < fbuf_len_; }
+  // Fetch-window plumbing (batched trace consumption).
+  [[nodiscard]] bool have_rec() const { return win_pos_ < window_.len; }
   void refill();
   void advance();
 
@@ -122,11 +120,13 @@ class DataflowCore final : public CoreEngine {
   /// pause_at_.
   bool cycle(std::uint64_t limit);
 
-  void copy_run_state(const DataflowCore& other);
+  /// The whole machine, memory binding and trace included; the rebinding
+  /// copy then rebinds those.
+  DataflowCore(const DataflowCore&) = default;
 
   CoreConfig cfg_;
-  DataMemory& dmem_;
-  InstMemory& imem_;
+  DataMemory* dmem_;
+  InstMemory* imem_;
   BimodalPredictor bp_;
   Btb btb_;
   unsigned line_shift_ = 0;
@@ -150,14 +150,10 @@ class DataflowCore final : public CoreEngine {
   std::uint64_t redirect_seq_ = 0;
   Cycle redirect_until_ = 0;
 
-  std::uint64_t retired_ = 0;
-
   // --- per-run state (reset by bind) ---------------------------------
   workload::TraceSource* trace_ = nullptr;
-  std::array<workload::TraceRecord, kFetchBatch> fbuf_;
-  std::uint32_t fbuf_pos_ = 0;
-  std::uint32_t fbuf_len_ = 0;
-  bool trace_eof_ = true;
+  FetchWindow window_;
+  std::size_t win_pos_ = 0;
 
   std::uint64_t dispatched_ = 0;
   std::uint64_t pause_at_ = 0;  ///< 0 = no pause requested

@@ -105,6 +105,20 @@ struct CoreResult {
 /// virtual dispatch that a per-record next() paid on every instruction.
 inline constexpr std::size_t kFetchBatch = 64;
 
+/// A core's staging window over a streamed trace: up to kFetchBatch
+/// records in the arena's column layout, filled by one next_batch call.
+struct FetchWindow {
+  workload::ColumnBuffer<kFetchBatch> records{};
+  std::size_t len = 0;
+  bool eof = true;  ///< the source ran dry: refill() reads no more
+
+  /// Replace the window's records with the source's next batch.
+  void refill(workload::TraceSource& src) {
+    len = eof ? 0 : src.next_batch(records.columns(), kFetchBatch);
+    if (len < kFetchBatch) eof = true;
+  }
+};
+
 class CoreEngine {
  public:
   virtual ~CoreEngine() = default;

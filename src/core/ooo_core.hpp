@@ -16,10 +16,10 @@
 // cache-probe issue, fetch/dispatch, hierarchy end-of-cycle — built for
 // speed:
 //
-//   * Decode reads straight off the MaterializedTrace SoA columns
-//     (pc/kind/addr/target/flags) when the trace is an arena cursor.
-//     Other sources fill a kFetchBatch SoA staging window through
-//     next_batch, so the inner loop is one shape either way.
+//   * Decode reads straight off the MaterializedTrace columns when the
+//     trace is an arena cursor. Other sources write the same columns
+//     into a kFetchBatch staging window (FetchWindow) through next_batch,
+//     so the inner loop is one shape either way.
 //   * `Mem` is the concrete memory system — sim::MemoryHierarchy in the
 //     simulator, fixed-latency fakes in the unit tests — so every
 //     begin_cycle/try_reserve_port/demand_access/fetch/end_cycle call is
@@ -36,7 +36,6 @@
 // see core/engine.hpp.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -147,8 +146,8 @@ class OooCore final : public CoreEngine {
   void issue_pending(Cycle now);
 
   // Decode-window plumbing: view_ points either at the shared arena's
-  // SoA columns (arena mode; idx_ is the absolute record index) or at
-  // the staging window (stream mode; idx_ in [0, win_end_)).
+  // columns (arena mode; idx_ is the absolute record index) or at the
+  // staging window (stream mode; idx_ in [0, win_end_)).
   [[nodiscard]] bool have_rec() const { return idx_ < win_end_; }
   void refill_stream();
   void advance();
@@ -169,10 +168,12 @@ class OooCore final : public CoreEngine {
   /// attribution. Result-identical to stepping the skipped cycles.
   void fast_forward_stall();
 
-  void copy_run_state(const OooCore& other);
+  /// The whole machine, memory binding and trace included; the rebinding
+  /// copy then rebinds those.
+  OooCore(const OooCore&) = default;
 
   CoreConfig cfg_;
-  Mem& mem_;
+  Mem* mem_;
   BimodalPredictor bp_;
   Btb btb_;
   Xorshift rng_;
@@ -199,17 +200,11 @@ class OooCore final : public CoreEngine {
   workload::TraceSource* trace_ = nullptr;
   workload::TraceCursor* cursor_ = nullptr;  ///< non-null in arena mode
   std::shared_ptr<const workload::MaterializedTrace> arena_;
-  workload::MaterializedTrace::SoaView view_;
+  workload::ColumnView view_;
   std::size_t idx_ = 0;
   std::size_t win_end_ = 0;
   bool arena_mode_ = false;
-  bool stream_eof_ = true;
-  // Stream-mode staging window (SoA transpose of next_batch output).
-  std::array<std::uint64_t, kFetchBatch> spc_{};
-  std::array<std::uint8_t, kFetchBatch> skind_{};
-  std::array<std::uint64_t, kFetchBatch> saddr_{};
-  std::array<std::uint64_t, kFetchBatch> starget_{};
-  std::array<std::uint8_t, kFetchBatch> sflags_{};
+  FetchWindow window_;  ///< stream mode's staging window
 
   std::uint64_t dispatched_ = 0;
   std::uint64_t pause_at_ = 0;  ///< 0 = no pause requested
@@ -235,7 +230,7 @@ class OooCore final : public CoreEngine {
 template <typename Mem>
 OooCore<Mem>::OooCore(CoreConfig cfg, Mem& mem)
     : cfg_(cfg),
-      mem_(mem),
+      mem_(&mem),
       bp_(cfg.bimodal),
       btb_(cfg.btb),
       rng_(cfg.seed),
@@ -260,14 +255,9 @@ OooCore<Mem>::OooCore(CoreConfig cfg, Mem& mem)
 template <typename Mem>
 OooCore<Mem>::OooCore(const OooCore& other, Mem& mem,
                       workload::TraceSource& trace)
-    : cfg_(other.cfg_),
-      mem_(mem),
-      bp_(other.bp_),
-      btb_(other.btb_),
-      rng_(other.rng_),
-      line_shift_(other.line_shift_),
-      rob_mask_(other.rob_mask_) {
-  copy_run_state(other);
+    : OooCore(other) {
+  mem_ = &mem;
+  set_heartbeat(nullptr);  // the caller rewires it per clone
   trace_ = &trace;
   if (arena_mode_) {
     cursor_ = dynamic_cast<workload::TraceCursor*>(&trace);
@@ -281,55 +271,12 @@ OooCore<Mem>::OooCore(const OooCore& other, Mem& mem,
     PPF_CHECK_MSG(cursor_->pos() == idx_ && idx_ <= win_end_,
                   "clone cursor mispositioned");
   } else {
-    // Stream mode: the staging window was copied by copy_run_state; the
-    // pointers must target *our* copy, not other's.
+    // Stream mode: the staging window was copied with the machine; the
+    // view must target *our* copy, not other's.
     cursor_ = nullptr;
     arena_.reset();
-    view_ = workload::MaterializedTrace::SoaView{
-        spc_.data(), skind_.data(), saddr_.data(), starget_.data(),
-        sflags_.data()};
+    view_ = window_.records.columns();
   }
-}
-
-template <typename Mem>
-void OooCore<Mem>::copy_run_state(const OooCore& o) {
-  rob_ = o.rob_;
-  rob_head_seq_ = o.rob_head_seq_;
-  rob_next_seq_ = o.rob_next_seq_;
-  rob_count_ = o.rob_count_;
-  lsq_count_ = o.lsq_count_;
-  pending_mem_ = o.pending_mem_;
-  pending_serial_ = o.pending_serial_;
-  serial_chain_ready_ = o.serial_chain_ready_;
-  last_load_done_ = o.last_load_done_;
-  last_load_known_ = o.last_load_known_;
-  arena_ = o.arena_;
-  idx_ = o.idx_;
-  win_end_ = o.win_end_;
-  arena_mode_ = o.arena_mode_;
-  stream_eof_ = o.stream_eof_;
-  spc_ = o.spc_;
-  skind_ = o.skind_;
-  saddr_ = o.saddr_;
-  starget_ = o.starget_;
-  sflags_ = o.sflags_;
-  dispatched_ = o.dispatched_;
-  pause_at_ = o.pause_at_;
-  res_ = o.res_;
-  window_snapshot_ = o.window_snapshot_;
-  window_start_ = o.window_start_;
-  now_ = o.now_;
-  cycle_limit_ = o.cycle_limit_;
-  fetch_ready_ = o.fetch_ready_;
-  redirect_until_ = o.redirect_until_;
-  cur_fetch_line_ = o.cur_fetch_line_;
-  timing_tick_ = o.timing_tick_;
-  mid_cycle_ = o.mid_cycle_;
-  cycle_trace_active_ = o.cycle_trace_active_;
-  was_rob_full_ = o.was_rob_full_;
-  fetch_stalled_ = o.fetch_stalled_;
-  lsq_blocked_ = o.lsq_blocked_;
-  slots_ = o.slots_;
 }
 
 template <typename Mem>
@@ -370,7 +317,7 @@ void OooCore<Mem>::retire(Cycle now) {
 template <typename Mem>
 void OooCore<Mem>::do_issue(Cycle now, const PendingMem& p, bool serial) {
   ++res_.stages.probe_records;
-  const Cycle completion = mem_.demand_access(now, p.pc, p.addr, p.is_store);
+  const Cycle completion = mem_->demand_access(now, p.pc, p.addr, p.is_store);
   RobEntry& e = rob_at(p.seq);
   e.issued = true;
   e.done = p.is_store ? now + 1 : completion;
@@ -386,12 +333,12 @@ void OooCore<Mem>::issue_pending(Cycle now) {
   // Serial (pointer-chase) accesses go first: the chain head has been
   // waiting longest and everything behind it is address-dependent.
   while (!pending_serial_.empty() && serial_chain_ready_ <= now &&
-         mem_.try_reserve_port(now)) {
+         mem_->try_reserve_port(now)) {
     const PendingMem p = pending_serial_.front();
     pending_serial_.pop();
     do_issue(now, p, /*serial=*/true);
   }
-  while (!pending_mem_.empty() && mem_.try_reserve_port(now)) {
+  while (!pending_mem_.empty() && mem_->try_reserve_port(now)) {
     const PendingMem p = pending_mem_.front();
     pending_mem_.pop();
     do_issue(now, p, /*serial=*/false);
@@ -402,28 +349,16 @@ void OooCore<Mem>::issue_pending(Cycle now) {
 // it runs once per kFetchBatch records, never per instruction.
 template <typename Mem>
 void OooCore<Mem>::refill_stream() {
-  std::array<workload::TraceRecord, kFetchBatch> buf;
-  const std::size_t got =
-      stream_eof_ ? 0 : trace_->next_batch(buf.data(), kFetchBatch);
-  for (std::size_t i = 0; i < got; ++i) {
-    const workload::TraceRecord& r = buf[i];
-    spc_[i] = r.pc;
-    skind_[i] = static_cast<std::uint8_t>(r.kind);
-    saddr_[i] = r.addr;
-    starget_[i] = r.target;
-    sflags_[i] =
-        static_cast<std::uint8_t>((r.taken ? 1u : 0u) | (r.serial ? 2u : 0u));
-  }
+  window_.refill(*trace_);
   idx_ = 0;
-  win_end_ = got;
-  if (got < kFetchBatch) stream_eof_ = true;
+  win_end_ = window_.len;
 }
 // ppf:hot
 
 template <typename Mem>
 void OooCore<Mem>::advance() {
   ++idx_;
-  if (!arena_mode_ && idx_ >= win_end_ && !stream_eof_) refill_stream();
+  if (!arena_mode_ && idx_ >= win_end_ && !window_.eof) refill_stream();
 }
 
 template <typename Mem>
@@ -443,13 +378,10 @@ void OooCore<Mem>::bind(workload::TraceSource& trace) {
     view_ = arena_->view();
     idx_ = cursor_->pos();
     win_end_ = arena_->size();
-    stream_eof_ = true;  // unused in arena mode
   } else {
     arena_.reset();
-    stream_eof_ = false;
-    view_ = workload::MaterializedTrace::SoaView{
-        spc_.data(), skind_.data(), saddr_.data(), starget_.data(),
-        sflags_.data()};
+    window_.eof = false;
+    view_ = window_.records.columns();
     refill_stream();
   }
   dispatched_ = 0;
@@ -477,7 +409,7 @@ void OooCore<Mem>::fast_forward_stall() {
   // The hierarchy must have no per-cycle work of its own, and no pending
   // op may be issuable this cycle (a fresh port budget arrives every
   // cycle, so a non-empty ready queue always makes progress).
-  if (!mem_.quiescent() || !pending_mem_.empty()) return;
+  if (!mem_->quiescent() || !pending_mem_.empty()) return;
   if (!pending_serial_.empty() && serial_chain_ready_ <= now_) return;
   const bool head_issued = rob_count_ > 0 && rob_at(rob_head_seq_).issued;
   if (head_issued && rob_at(rob_head_seq_).done <= now_) return;  // retires now
@@ -485,7 +417,7 @@ void OooCore<Mem>::fast_forward_stall() {
   const bool fetch_blocked = now_ < fetch_ready_ || now_ < redirect_until_;
   bool lsq_blocking = false;
   if (cycle_trace_active_ && !fetch_blocked && !rob_full()) {
-    const auto kind = static_cast<workload::InstKind>(view_.kind[idx_]);
+    const auto kind = workload::op_kind(view_.op[idx_]);
     const bool is_mem =
         kind == workload::InstKind::Load || kind == workload::InstKind::Store;
     if (!is_mem || lsq_count_ < cfg_.lsq_entries) return;  // can dispatch now
@@ -546,7 +478,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
 
     timed = (timing_tick_++ & (kTimingSample - 1)) == 0;
     if (timed) t0 = std::chrono::steady_clock::now();
-    mem_.begin_cycle(now_);
+    mem_->begin_cycle(now_);
     retire(now_);
     if (timed) {
       const TimePoint t1 = std::chrono::steady_clock::now();
@@ -576,7 +508,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
     // Instruction fetch: crossing into a new I-line probes the L1I.
     const Addr line = pc >> line_shift_;
     if (line != cur_fetch_line_) {
-      const Cycle ready = mem_.fetch(now_, pc);
+      const Cycle ready = mem_->fetch(now_, pc);
       cur_fetch_line_ = line;
       if (ready > now_) {
         fetch_ready_ = ready;
@@ -584,7 +516,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
       }
     }
 
-    const auto kind = static_cast<workload::InstKind>(view_.kind[idx_]);
+    const auto kind = workload::op_kind(view_.op[idx_]);
     const bool is_mem =
         kind == workload::InstKind::Load || kind == workload::InstKind::Store;
     if (is_mem && lsq_count_ >= cfg_.lsq_entries) {
@@ -607,12 +539,12 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
         break;
       case workload::InstKind::SwPrefetch:
         ++res_.sw_prefetches;
-        mem_.software_prefetch(now_, pc, view_.addr[idx_]);
+        mem_->software_prefetch(now_, pc, view_.addr[idx_]);
         e.done = done;
         break;
       case workload::InstKind::Branch: {
         ++res_.branches;
-        const bool taken = (view_.flags[idx_] & 1u) != 0;
+        const bool taken = (view_.op[idx_] & workload::kOpTaken) != 0;
         const Addr target = view_.target[idx_];
         const bool pred_taken = bp_.predict(pc);
         const auto pred_target = btb_.lookup(pc);
@@ -642,11 +574,11 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
         else
           ++res_.loads;
         const PendingMem pm{seq, pc, view_.addr[idx_], is_store};
-        if ((view_.flags[idx_] & 2u) != 0) {
+        if ((view_.op[idx_] & workload::kOpSerial) != 0) {
           // Pointer chase: issue in chain order, gated on the previous
           // serial load's data.
           if (pending_serial_.empty() && serial_chain_ready_ <= now_ &&
-              mem_.try_reserve_port(now_)) {
+              mem_->try_reserve_port(now_)) {
             do_issue(now_, pm, /*serial=*/true);
           } else {
             e.issued = false;
@@ -654,7 +586,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
             pending_serial_.push(pm);
             if (!is_store) last_load_known_ = false;
           }
-        } else if (mem_.try_reserve_port(now_)) {
+        } else if (mem_->try_reserve_port(now_)) {
           do_issue(now_, pm, /*serial=*/false);
         } else {
           e.issued = false;
@@ -696,7 +628,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
   }
 
   ++res_.stages.memsys_records;
-  mem_.end_cycle(now_);
+  mem_->end_cycle(now_);
   if (timed) {
     res_.stages.memsys_ns +=
         ns_between(t0, std::chrono::steady_clock::now()) * kTimingSample;

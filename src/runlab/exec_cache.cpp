@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "runlab/runner.hpp"
+#include "sim/experiment.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace ppf::runlab {
@@ -61,20 +62,43 @@ void ExecCache::raise_watermark(const Job& job) {
   if (need > watermark) watermark = need;
 }
 
+std::size_t ExecCache::trace_reads(const Job& job) {
+  // The static filter's profile and measure phases each read the trace.
+  return is_static(job) ? 2 : 1;
+}
+
 void ExecCache::note_demand(const Job& job) {
   if (!cfg_.trace_cache) return;
   raise_watermark(job);
-  if (!shares_warmup(job)) return;
-  const std::string key = snapshot_key(job);
   std::lock_guard<std::mutex> lk(mu_);
-  ++consumers_[key];
+  reads_[trace_key(job)] += trace_reads(job);
+  if (shares_warmup(job)) ++consumers_[snapshot_key(job)];
+}
+
+bool ExecCache::reads_arena(const Job& job) {
+  const std::string key = trace_key(job);
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = reads_.find(key);
+  if (it == reads_.end()) return true;  // undeclared: a bet on reuse
+  const std::size_t left = it->second;
+  it->second -= std::min(left, trace_reads(job));
+  if (it->second == 0) reads_.erase(it);
+  if (left >= 2) return true;
+  const auto arena = arenas_.find(key);
+  if (arena != arenas_.end() && arena->second.records >= needed_records(job)) {
+    return true;
+  }
+  // The trace's last declared read, and no arena holds it: the job
+  // streams, and gives up its claim on a warmup snapshot too.
+  if (const auto cit = consumers_.find(snapshot_key(job));
+      shares_warmup(job) && cit != consumers_.end() && --cit->second == 0) {
+    consumers_.erase(cit);
+  }
+  return false;
 }
 
 sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
-  // Static-filter jobs run the two-phase profile/measure flow with an
-  // external filter that must survive between the phases — out of scope
-  // for arena/snapshot sharing.
-  if (!cfg_.trace_cache || is_static(job)) {
+  if (!cfg_.trace_cache || !reads_arena(job)) {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
     const ProfClock::time_point t0 = ProfClock::now();
     sim::SimResult result = execute_job(job);
@@ -114,8 +138,14 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
     return result;
   }
   workload::TraceCursor cursor(arena);
-  sim::Simulator s(job.config);
-  sim::SimResult result = s.run(cursor);
+  sim::SimResult result;
+  if (is_static(job)) {
+    // Both phases of the two-phase flow read the one arena.
+    workload::TraceCursor measure(arena);
+    result = sim::run_static_filter(job.config, cursor, measure);
+  } else {
+    result = sim::Simulator(job.config).run(cursor);
+  }
   if (timings != nullptr) timings->sim_ms = ms_since(sim_start);
   return result;
 }

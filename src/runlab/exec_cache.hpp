@@ -3,10 +3,20 @@
 // A batch run reuses two expensive artifacts across jobs: materialized
 // trace arenas (one per distinct benchmark x seed) and warmup snapshots
 // (one per distinct trace x warmup-relevant config; see sim::warmup_key).
+// Static-filter jobs read the arena twice, once per phase of their
+// profile/measure flow; they share no snapshot (their filter is external).
 // ExecCache holds that state in an object a caller may keep alive for as
 // long as it likes — the sweep-as-a-service daemon (src/serve) owns one
 // for its whole process lifetime, so every request after the first hits
 // warm arenas and warm machines.
+//
+// An arena costs the generation of its trace plus its memory; streaming
+// the generator costs only the generation. So an arena, too, is built
+// only where it will be reused. note_demand() counts each trace key's
+// declared reads (two for a static-filter job), and execute() takes the
+// job's off: a declared job whose trace has fewer than two reads left,
+// and no resident arena, streams its generator. A job that was never
+// declared reads a speculative arena.
 //
 // A snapshot costs a warmup plus a deep copy of the machine per resume,
 // and stays resident; warming up in place costs only the warmup. So a
@@ -101,20 +111,20 @@ class ExecCache {
   ExecCache& operator=(const ExecCache&) = delete;
 
   /// Record that `job` will run soon, once: the arena for its
-  /// (benchmark, seed) is sized for the hungriest declared consumer in
-  /// one build, and its warmup snapshot is built only if a second
-  /// declared job will resume it. Optional — execute() sizes on demand
-  /// and builds snapshots speculatively for undeclared jobs — but a batch
-  /// that declares all jobs up front builds each arena exactly once and
-  /// no snapshot that only one job would use.
+  /// (benchmark, seed) is built only if its trace is read twice, sized
+  /// for the hungriest declared consumer in one build, and its warmup
+  /// snapshot is built only if a second declared job will resume it.
+  /// Optional — execute() sizes on demand and builds arenas and
+  /// snapshots speculatively for undeclared jobs — but a batch that
+  /// declares all jobs up front builds each arena at most once and no
+  /// arena or snapshot that only one job would use.
   void note_demand(const Job& job);
 
-  /// Execute one job through the caches: arena cursor, plus a
+  /// Execute one job through the caches: arena cursors, plus a
   /// warmup-snapshot resume where the rule in the file comment picks
-  /// one; plain execute_job otherwise (trace_cache off, or a
-  /// static-filter job whose two-phase flow is out of scope). Throws what
-  /// the simulation throws. `timings` (optional) receives wall-clock
-  /// telemetry for the call.
+  /// one; plain execute_job otherwise (trace_cache off, or a trace the
+  /// rule streams). Throws what the simulation throws. `timings`
+  /// (optional) receives wall-clock telemetry for the call.
   sim::SimResult execute(const Job& job, ExecTimings* timings = nullptr);
 
   [[nodiscard]] ExecCacheStats stats() const;
@@ -138,6 +148,11 @@ class ExecCache {
   static std::string trace_key(const Job& job);
   static std::string snapshot_key(const Job& job);
   static bool is_static(const Job& job);
+  /// Times `job` reads its trace.
+  static std::size_t trace_reads(const Job& job);
+  /// Take `job`'s declared reads off its trace key; false when the job
+  /// should stream its generator instead of reading an arena.
+  bool reads_arena(const Job& job);
   /// Whether `job` may resume from (or build) a warmup snapshot.
   [[nodiscard]] bool shares_warmup(const Job& job) const;
   /// Raise the arena-size watermark of `job`'s trace to its need.
@@ -163,6 +178,8 @@ class ExecCache {
   std::uint64_t next_id_ = 1;   // PPF_GUARDED_BY(mu_)
   std::uint64_t lru_clock_ = 0;  // PPF_GUARDED_BY(mu_)
   std::unordered_map<std::string, std::size_t> demand_;  // PPF_GUARDED_BY(mu_)
+  /// Declared reads per trace key not yet executed; erased at 0.
+  std::unordered_map<std::string, std::size_t> reads_;  // PPF_GUARDED_BY(mu_)
   /// Declared consumers per snapshot key not yet executed; erased at 0.
   std::unordered_map<std::string, std::size_t> consumers_;  // PPF_GUARDED_BY(mu_)
   std::unordered_map<std::string, Entry<ArenaPtr>> arenas_;  // PPF_GUARDED_BY(mu_)

@@ -19,21 +19,21 @@ std::vector<SimResult> run_all_benchmarks(const SimConfig& cfg) {
   return out;
 }
 
-SimResult run_static_filter(const SimConfig& cfg, const std::string& bench) {
+SimResult run_static_filter(const SimConfig& cfg,
+                            workload::TraceSource& profile,
+                            workload::TraceSource& measure) {
   filter::StaticFilter filt;
-
   // Phase 1: profile (admits everything, records outcomes).
-  {
-    auto trace = workload::make_benchmark(bench, cfg.seed);
-    Simulator sim(cfg);
-    (void)sim.run(*trace, &filt);
-  }
+  (void)Simulator(cfg).run(profile, &filt);
   filt.freeze();
-
   // Phase 2: measure the same program under the frozen profile.
-  auto trace = workload::make_benchmark(bench, cfg.seed);
-  Simulator sim(cfg);
-  return sim.run(*trace, &filt);
+  return Simulator(cfg).run(measure, &filt);
+}
+
+SimResult run_static_filter(const SimConfig& cfg, const std::string& bench) {
+  auto profile = workload::make_benchmark(bench, cfg.seed);
+  auto measure = workload::make_benchmark(bench, cfg.seed);
+  return run_static_filter(cfg, *profile, *measure);
 }
 
 ScenarioResults run_filter_scenarios(const SimConfig& base,

@@ -16,8 +16,14 @@ SimResult run_benchmark(const SimConfig& cfg, const std::string& bench);
 std::vector<SimResult> run_all_benchmarks(const SimConfig& cfg);
 
 /// Two-phase static-filter flow (Srinivasan et al. [18]): profile the
-/// benchmark once with the filter recording outcomes, freeze the profile,
+/// program once with the filter recording outcomes, freeze the profile,
 /// then measure a second, identical run filtered by the frozen profile.
+/// `profile` and `measure` must yield the same records.
+SimResult run_static_filter(const SimConfig& cfg,
+                            workload::TraceSource& profile,
+                            workload::TraceSource& measure);
+
+/// The two-phase flow over two fresh generators of benchmark `bench`.
 SimResult run_static_filter(const SimConfig& cfg, const std::string& bench);
 
 /// The three default evaluation scenarios of Section 5.2.

@@ -13,8 +13,6 @@ namespace {
 constexpr Pc kCodeBase = 0x0040'0000;
 constexpr Addr kDataBase = 0x1000'0000;
 constexpr unsigned kInstBytes = 4;
-/// Pad each block so bases are stable regardless of block length.
-constexpr unsigned kMaxBlockLen = 64;
 
 constexpr std::uint64_t KiB = 1024;
 constexpr std::uint64_t MiB = 1024 * 1024;
@@ -197,10 +195,10 @@ std::size_t SyntheticBenchmark::pick_stream(Xorshift& rng) const {
   return cum_stream_weight_.size() - 1;
 }
 
-void SyntheticBenchmark::execute_block(std::size_t index) {
+std::size_t SyntheticBenchmark::execute_block(TraceColumns out) {
+  const std::size_t index = cur_block_;
   const Block& blk = blocks_[index];
-  pending_.clear();
-  pending_pos_ = 0;
+  std::size_t len = 0;
 
   // Register convention (for the dataflow core): each stream's pointer
   // or index lives in register 1 + (stream % 8); load results land in a
@@ -258,48 +256,46 @@ void SyntheticBenchmark::execute_block(std::size_t index) {
       default:
         PPF_ASSERT_MSG(false, "unexpected static slot kind");
     }
-    pending_.push_back(r);
+    out.put(len++, r);
   }
 
   // The block-ending branch: loop-biased or data-dependent coin.
-  const Block& b = blk;
-  const double p_taken = b.coin_branch ? 0.5 : spec_.branch_taken_prob;
+  const double p_taken = blk.coin_branch ? 0.5 : spec_.branch_taken_prob;
   const bool taken = rng_.chance(p_taken);
   const std::size_t next_block =
-      taken ? b.taken_target : (index + 1) % blocks_.size();
+      taken ? blk.taken_target : (index + 1) % blocks_.size();
   TraceRecord br;
-  br.pc = b.slots.back().pc;
+  br.pc = blk.slots.back().pc;
   br.kind = InstKind::Branch;
   br.taken = taken;
   br.target = blocks_[next_block].base;
   // Data-dependent (coin) branches test the latest load result; loop
   // branches test a cheap induction temporary.
-  if (b.coin_branch && last_data_reg_ != 0) {
+  if (blk.coin_branch && last_data_reg_ != 0) {
     br.src1 = last_data_reg_;
   } else if (op_reg_rr_ > 0) {
     br.src1 = static_cast<std::uint8_t>(17 + ((op_reg_rr_ - 1) % 8));
   }
-  pending_.push_back(br);
+  out.put(len++, br);
   cur_block_ = next_block;
+  return len;
 }
 
-bool SyntheticBenchmark::next(TraceRecord& out) {
-  if (pending_pos_ >= pending_.size()) execute_block(cur_block_);
-  out = pending_[pending_pos_++];
-  return true;
-}
-
-std::size_t SyntheticBenchmark::next_batch(TraceRecord* out, std::size_t n) {
-  std::size_t got = 0;
+std::size_t SyntheticBenchmark::next_batch(TraceColumns out, std::size_t n) {
+  // First the rest of a block that straddled the previous batch,
+  std::size_t got = std::min(n, pending_len_ - pending_pos_);
+  copy_columns(pending_.columns() + pending_pos_, out, got);
+  pending_pos_ += got;
+  // then whole blocks straight into `out` while one surely fits,
+  while (n - got >= kMaxBlockLen) got += execute_block(out + got);
+  // and the tail through the pending block.
   while (got < n) {
-    if (pending_pos_ >= pending_.size()) execute_block(cur_block_);
-    const std::size_t take =
-        std::min(n - got, pending_.size() - pending_pos_);
-    std::copy_n(pending_.data() + pending_pos_, take, out + got);
-    pending_pos_ += take;
-    got += take;
+    pending_len_ = execute_block(pending_.columns());
+    pending_pos_ = std::min(n - got, pending_len_);
+    copy_columns(pending_.columns(), out + got, pending_pos_);
+    got += pending_pos_;
   }
-  return got;
+  return n;
 }
 
 const std::vector<std::string>& benchmark_names() {

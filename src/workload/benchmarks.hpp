@@ -52,13 +52,14 @@ struct BenchSpec {
 /// slots are bound to the spec's address streams.
 class SyntheticBenchmark final : public TraceSource {
  public:
+  /// Instructions a basic block holds at most. Every block spans this
+  /// many PCs, so block bases do not depend on block lengths.
+  static constexpr std::size_t kMaxBlockLen = 64;
+
   SyntheticBenchmark(BenchSpec spec, std::uint64_t seed);
 
-  /// Infinite stream; always returns true.
-  bool next(TraceRecord& out) override;
-
-  /// Bulk drain of whole pending blocks; always fills all `n` records.
-  std::size_t next_batch(TraceRecord* out, std::size_t n) override;
+  /// Infinite stream: always fills all `n` records.
+  std::size_t next_batch(TraceColumns out, std::size_t n) override;
 
   [[nodiscard]] const char* name() const override {
     return spec_.name.c_str();
@@ -80,7 +81,9 @@ class SyntheticBenchmark final : public TraceSource {
   };
 
   void build_code_layout(Xorshift& build_rng);
-  void execute_block(std::size_t index);
+  /// Run the current block, writing its records to `out`; returns how
+  /// many (at most kMaxBlockLen).
+  std::size_t execute_block(TraceColumns out);
   [[nodiscard]] std::size_t pick_stream(Xorshift& rng) const;
 
   BenchSpec spec_;
@@ -89,8 +92,10 @@ class SyntheticBenchmark final : public TraceSource {
   ZipfSampler block_picker_;
   std::vector<double> cum_stream_weight_;
   std::size_t cur_block_ = 0;
-  std::vector<TraceRecord> pending_;
+  /// The rest of a block that did not fit the previous batch.
+  ColumnBuffer<kMaxBlockLen> pending_;
   std::size_t pending_pos_ = 0;
+  std::size_t pending_len_ = 0;
   std::uint8_t last_data_reg_ = 0;  ///< most recent load-result register
   std::uint32_t data_reg_rr_ = 0;   ///< round-robin over data registers
   std::uint32_t op_reg_rr_ = 0;     ///< round-robin over op registers

@@ -25,32 +25,41 @@ InterleavedTrace::InterleavedTrace(
   name_ += ")";
 }
 
-bool InterleavedTrace::next(TraceRecord& out) {
-  if (issued_in_slice_ >= switch_interval_) {
-    issued_in_slice_ = 0;
-    current_ = (current_ + 1) % sources_.size();
-    ++switches_;
-  }
+std::size_t InterleavedTrace::next_batch(TraceColumns out, std::size_t n) {
+  std::size_t got = 0;
   // A finite source exhausted mid-slice yields the remainder of its
   // slice to the next program; the mix ends only when a full rotation
   // finds every source dry.
-  std::size_t dry = 0;
-  while (!sources_[current_]->next(out)) {
-    if (++dry >= sources_.size()) return false;
-    issued_in_slice_ = 0;
-    current_ = (current_ + 1) % sources_.size();
-    ++switches_;
+  for (std::size_t dry = 0; got < n && dry < sources_.size();) {
+    if (issued_in_slice_ >= switch_interval_) {
+      issued_in_slice_ = 0;
+      current_ = (current_ + 1) % sources_.size();
+      ++switches_;
+    }
+    const std::size_t want =
+        std::min<std::uint64_t>(n - got, switch_interval_ - issued_in_slice_);
+    const TraceColumns slice = out + got;
+    const std::size_t read = sources_[current_]->next_batch(slice, want);
+    const Addr tag = static_cast<Addr>(current_) << kAsidShift;
+    for (std::size_t i = 0; i < read; ++i) {
+      slice.pc[i] |= tag;
+      const InstKind kind = op_kind(slice.op[i]);
+      if (kind == InstKind::Load || kind == InstKind::Store ||
+          kind == InstKind::SwPrefetch) {
+        slice.addr[i] |= tag;
+      }
+      if (kind == InstKind::Branch) slice.target[i] |= tag;
+    }
+    got += read;
+    issued_in_slice_ += read;
+    if (read == want) {
+      dry = 0;
+    } else {
+      ++dry;
+      issued_in_slice_ = switch_interval_;  // cede the rest of the slice
+    }
   }
-  ++issued_in_slice_;
-
-  const Addr tag = static_cast<Addr>(current_) << kAsidShift;
-  out.pc |= tag;
-  if (out.kind == InstKind::Load || out.kind == InstKind::Store ||
-      out.kind == InstKind::SwPrefetch) {
-    out.addr |= tag;
-  }
-  if (out.kind == InstKind::Branch) out.target |= tag;
-  return true;
+  return got;
 }
 
 }  // namespace ppf::workload

@@ -30,7 +30,7 @@ class InterleavedTrace final : public TraceSource {
   InterleavedTrace(std::vector<std::unique_ptr<TraceSource>> sources,
                    std::uint64_t switch_interval);
 
-  bool next(TraceRecord& out) override;
+  std::size_t next_batch(TraceColumns out, std::size_t n) override;
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
   /// Context switches performed so far.

@@ -1,20 +1,20 @@
 // Materialized trace arenas.
 //
 // A runlab sweep runs many jobs over the *same* (benchmark, seed) trace —
-// one per filter variant, per config variant. Streaming generation pays a
-// virtual next() per record per job; a MaterializedTrace pays generation
-// once, stores the records in structure-of-arrays form (~29 bytes per
-// record instead of a 40-byte AoS TraceRecord), and hands every job a
-// cheap TraceCursor view over the shared immutable buffer. Cursors are
+// one per filter variant, per config variant. Streaming pays generation
+// once per job; a MaterializedTrace pays it once, straight into the
+// structure-of-arrays columns every bulk read fills (TraceColumns: 28
+// bytes per record instead of a 40-byte TraceRecord), and hands every job
+// a cheap TraceCursor view over the shared immutable buffer. Cursors are
 // seekable, which is what makes warmup-snapshot reuse possible at all:
 // a cloned post-warmup core must resume mid-trace, and the synthetic
 // generators cannot seek.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "workload/trace.hpp"
 
@@ -24,14 +24,17 @@ namespace ppf::workload {
 /// materialize(); share across threads freely (read-only after build).
 class MaterializedTrace {
  public:
-  /// Drain `count` records from `src` into the arena.
+  /// Allocate `count` records' columns, unfilled, and let `src` write
+  /// them. A source that runs dry first yields a shorter arena.
   MaterializedTrace(TraceSource& src, std::size_t count);
 
-  [[nodiscard]] std::size_t size() const { return pc_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Approximate resident bytes (arena sizing / cache-cap decisions).
-  [[nodiscard]] std::size_t bytes() const;
+  /// Resident bytes of the columns (arena sizing / cache-cap decisions).
+  [[nodiscard]] std::size_t bytes() const {
+    return size_ * TraceColumns::kRecordBytes;
+  }
 
   /// True when this arena can stand in for `prefix`: same trace name, at
   /// least as many records, and equal records at a fixed sample of
@@ -40,39 +43,19 @@ class MaterializedTrace {
   /// arena of the same (benchmark, seed) from another trace.
   [[nodiscard]] bool extends(const MaterializedTrace& prefix) const;
 
-  /// Copy records [pos, pos+n) into `out`; n must not overrun size().
-  void gather(std::size_t pos, TraceRecord* out, std::size_t n) const;
-
-  /// Raw read-only pointers into the SoA columns the timing models
-  /// consume (pc/kind/addr/target/flags). The occupancy core decodes
-  /// straight from these, skipping the AoS TraceRecord round-trip that
-  /// gather() pays. Valid for the arena's lifetime; flags bit 0 = taken,
-  /// bit 1 = serial (the encoding the constructor writes).
-  struct SoaView {
-    const std::uint64_t* pc = nullptr;
-    const std::uint8_t* kind = nullptr;
-    const std::uint64_t* addr = nullptr;
-    const std::uint64_t* target = nullptr;
-    const std::uint8_t* flags = nullptr;
-  };
-  [[nodiscard]] SoaView view() const {
-    return SoaView{pc_.data(), kind_.data(), addr_.data(), target_.data(),
-                   flags_.data()};
-  }
+  /// Read-only columns over records [0, size()), valid for the arena's
+  /// lifetime. The occupancy core decodes straight from these.
+  [[nodiscard]] ColumnView view() const { return cols_; }
 
  private:
-  friend class TraceCursor;
+  /// Unfilled columns for `n` records, one allocation each.
+  void allocate(std::size_t n);
 
   std::string name_;
-  // Hot fields first: the cores consume pc/kind/addr for every record.
-  std::vector<std::uint64_t> pc_;
-  std::vector<std::uint8_t> kind_;
-  std::vector<std::uint64_t> addr_;
-  std::vector<std::uint64_t> target_;
-  std::vector<std::uint8_t> flags_;  ///< bit0 = taken, bit1 = serial
-  std::vector<std::uint8_t> dst_;
-  std::vector<std::uint8_t> src1_;
-  std::vector<std::uint8_t> src2_;
+  std::array<std::unique_ptr<std::uint64_t[]>, 3> words_;  ///< pc/addr/target
+  std::array<std::unique_ptr<std::uint8_t[]>, 4> bytes_;  ///< op/dst/src1/src2
+  TraceColumns cols_;
+  std::size_t size_ = 0;
 };
 
 /// Build an arena of `count` records. Plain function so call sites read
@@ -87,8 +70,7 @@ class TraceCursor final : public TraceSource {
   explicit TraceCursor(std::shared_ptr<const MaterializedTrace> arena,
                        std::size_t start = 0);
 
-  bool next(TraceRecord& out) override;
-  std::size_t next_batch(TraceRecord* out, std::size_t n) override;
+  std::size_t next_batch(TraceColumns out, std::size_t n) override;
   [[nodiscard]] const char* name() const override {
     return arena_->name().c_str();
   }

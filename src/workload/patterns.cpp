@@ -14,8 +14,8 @@ StridedStream::StridedStream(Addr base, std::uint64_t stride,
 }
 
 Addr StridedStream::next(Xorshift&) {
-  const Addr a = base_ + (i_ % count_) * stride_;
-  ++i_;
+  const Addr a = base_ + i_ * stride_;
+  if (++i_ == count_) i_ = 0;
   return a;
 }
 

@@ -46,7 +46,7 @@ class StridedStream final : public AddressStream {
   Addr base_;
   std::uint64_t stride_;
   std::uint64_t count_;
-  std::uint64_t i_ = 0;
+  std::uint64_t i_ = 0;  ///< position in the sweep, in [0, count_)
 };
 
 /// Pointer chase over a randomly linked ring of `nodes` records of

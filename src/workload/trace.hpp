@@ -8,8 +8,11 @@
 // direction/target for branches.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,36 +63,122 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
+/// Bits of a record's op byte: the InstKind in bits 0-2, then the branch
+/// direction and the pointer-chase flag (the ppfb head byte's layout).
+inline constexpr std::uint8_t kOpKindMask = 0x07;
+inline constexpr std::uint8_t kOpTaken = 0x08;
+inline constexpr std::uint8_t kOpSerial = 0x10;
+
+inline InstKind op_kind(std::uint8_t op) {
+  return static_cast<InstKind>(op & kOpKindMask);
+}
+
+/// Spans over records in structure-of-arrays layout: record i is (pc[i],
+/// op[i], addr[i], ...). It is the layout of a MaterializedTrace and of
+/// every bulk read, from the generator to the cores. ColumnView is the
+/// read-only form; `cols + n` is the same columns from record n on.
+template <typename Word, typename Byte>
+struct BasicColumns {
+  Word* pc = nullptr;
+  Word* addr = nullptr;    ///< effective address (Load/Store/SwPrefetch)
+  Word* target = nullptr;  ///< branch target
+  Byte* op = nullptr;      ///< kind | kOpTaken | kOpSerial
+  Byte* dst = nullptr;
+  Byte* src1 = nullptr;
+  Byte* src2 = nullptr;
+
+  /// Bytes one record takes across the columns above.
+  static constexpr std::size_t kRecordBytes =
+      3 * sizeof(Word) + 4 * sizeof(Byte);
+
+  BasicColumns operator+(std::size_t n) const {
+    return {pc + n, addr + n, target + n, op + n, dst + n, src1 + n, src2 + n};
+  }
+  operator BasicColumns<const Word, const Byte>() const {
+    return {pc, addr, target, op, dst, src1, src2};
+  }
+
+  [[nodiscard]] TraceRecord get(std::size_t i) const {
+    TraceRecord r;
+    r.pc = pc[i];
+    r.kind = op_kind(op[i]);
+    r.addr = addr[i];
+    r.target = target[i];
+    r.taken = (op[i] & kOpTaken) != 0;
+    r.serial = (op[i] & kOpSerial) != 0;
+    r.dst = dst[i];
+    r.src1 = src1[i];
+    r.src2 = src2[i];
+    return r;
+  }
+  void put(std::size_t i, const TraceRecord& r) const {
+    pc[i] = r.pc;
+    op[i] = static_cast<std::uint8_t>(static_cast<unsigned>(r.kind) |
+                                      (r.taken ? kOpTaken : 0u) |
+                                      (r.serial ? kOpSerial : 0u));
+    addr[i] = r.addr;
+    target[i] = r.target;
+    dst[i] = r.dst;
+    src1[i] = r.src1;
+    src2[i] = r.src2;
+  }
+};
+using TraceColumns = BasicColumns<std::uint64_t, std::uint8_t>;
+using ColumnView = BasicColumns<const std::uint64_t, const std::uint8_t>;
+
+/// Copy records [0, n) of `from` to `to`, column by column.
+inline void copy_columns(ColumnView from, TraceColumns to, std::size_t n) {
+  std::copy_n(from.pc, n, to.pc);
+  std::copy_n(from.addr, n, to.addr);
+  std::copy_n(from.target, n, to.target);
+  std::copy_n(from.op, n, to.op);
+  std::copy_n(from.dst, n, to.dst);
+  std::copy_n(from.src1, n, to.src1);
+  std::copy_n(from.src2, n, to.src2);
+}
+
+/// Column storage for up to N records: the cores' fetch windows, the
+/// generator's pending block, one-record reads.
+template <std::size_t N>
+struct ColumnBuffer {
+  std::array<std::uint64_t, N> pc, addr, target;
+  std::array<std::uint8_t, N> op, dst, src1, src2;
+
+  TraceColumns columns() {
+    return {pc.data(),  addr.data(), target.data(), op.data(),
+            dst.data(), src1.data(), src2.data()};
+  }
+};
+
+/// A malformed trace file or stream; a bad record's message names its
+/// index.
+class TraceFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Pull-based instruction stream.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Produce the next record; false when the stream is exhausted.
-  virtual bool next(TraceRecord& out) = 0;
+  /// Write up to `n` records into `out` (every column holds at least
+  /// `n`); returns how many were written, short only at end of stream.
+  virtual std::size_t next_batch(TraceColumns out, std::size_t n) = 0;
 
-  /// Produce up to `n` records into `out`; returns how many were written
-  /// (short only at end of stream). The default forwards to next() so
-  /// every source works; sources with bulk access (VectorTrace,
-  /// TraceCursor, SyntheticBenchmark) override it to amortise the
-  /// virtual call over a whole fetch batch.
-  virtual std::size_t next_batch(TraceRecord* out, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n && next(out[got])) ++got;
-    return got;
-  }
+  /// One record; false when the stream is exhausted.
+  bool next(TraceRecord& out);
 
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
-/// Replays a fixed vector of records (tests, file-based traces).
+/// Replays a fixed vector of records (tests).
 class VectorTrace final : public TraceSource {
  public:
   explicit VectorTrace(std::vector<TraceRecord> records,
                        std::string name = "vector");
 
-  bool next(TraceRecord& out) override;
-  std::size_t next_batch(TraceRecord* out, std::size_t n) override;
+  std::size_t next_batch(TraceColumns out, std::size_t n) override;
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
   void rewind() { pos_ = 0; }
@@ -99,6 +188,39 @@ class VectorTrace final : public TraceSource {
   std::vector<TraceRecord> records_;
   std::string name_;
   std::size_t pos_ = 0;
+};
+
+/// A serialized trace parsed as it is read. The format's constructor
+/// reads the header, which declares count_ records; a record that does
+/// not parse throws TraceFormatError naming its index. The header's count
+/// bounds the reads but sizes nothing. The stream must outlive the reader.
+class TraceReader : public TraceSource {
+ public:
+  std::size_t next_batch(TraceColumns out, std::size_t n) final;
+  [[nodiscard]] const char* name() const final { return name_.c_str(); }
+
+ protected:
+  TraceReader(std::istream& is, std::string name)
+      : is_(is), name_(std::move(name)) {}
+  /// The next record; throws std::runtime_error when it does not parse.
+  virtual TraceRecord read_record() = 0;
+
+  std::istream& is_;
+  std::uint64_t count_ = 0;
+
+ private:
+  std::string name_;
+  std::uint64_t read_ = 0;
+};
+
+/// Reader of the ppftrace text format (one record per line, see
+/// write_trace); a bad header throws TraceFormatError on construction.
+class TextTraceReader final : public TraceReader {
+ public:
+  explicit TextTraceReader(std::istream& is, std::string name = "ppftrace");
+
+ private:
+  TraceRecord read_record() override;
 };
 
 /// Serialise records to a compact text form (one record per line) and back.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -82,55 +83,53 @@ void write_trace_binary(std::ostream& os,
   }
 }
 
-std::vector<TraceRecord> read_trace_binary(std::istream& is) {
+BinaryTraceReader::BinaryTraceReader(std::istream& is, std::string name)
+    : TraceReader(is, std::move(name)) {
   char magic[8];
-  is.read(magic, sizeof(magic));
-  if (is.gcount() != sizeof(magic) ||
+  is_.read(magic, sizeof(magic));
+  if (is_.gcount() != sizeof(magic) ||
       !std::equal(magic, magic + sizeof(magic), kMagic)) {
-    throw std::runtime_error("not a ppfb binary trace");
+    throw TraceFormatError("not a ppfb binary trace");
   }
-  const std::uint64_t count = get_varint(is);
-  // The count is read from the input, so it may not size an allocation:
-  // a 10-byte header could ask for any amount. Reserve at most a small
-  // cap and let push_back grow the vector as records actually arrive.
-  constexpr std::uint64_t kReserveCap = std::uint64_t{1} << 16;
-  std::vector<TraceRecord> out;
-  out.reserve(static_cast<std::size_t>(std::min(count, kReserveCap)));
-  Pc prev_pc = 0;
-  Addr prev_addr = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const int head = is.get();
-    if (head == std::char_traits<char>::eof()) {
+  count_ = get_varint(is_);
+}
+
+TraceRecord BinaryTraceReader::read_record() {
+  const int head = is_.get();
+  if (head == std::char_traits<char>::eof()) {
+    throw std::runtime_error("truncated binary trace");
+  }
+  const unsigned kind_bits = static_cast<unsigned>(head) & 0x07u;
+  if (kind_bits > static_cast<unsigned>(InstKind::SwPrefetch)) {
+    throw std::runtime_error("invalid instruction kind in binary trace");
+  }
+  TraceRecord r;
+  r.kind = static_cast<InstKind>(kind_bits);
+  r.taken = (head & 0x08) != 0;
+  r.serial = (head & 0x10) != 0;
+  r.pc = prev_pc_ + static_cast<Pc>(zigzag_decode(get_varint(is_)));
+  prev_pc_ = r.pc;
+  if ((head & 0x20) != 0) {
+    const int d = is_.get(), s1 = is_.get(), s2 = is_.get();
+    if (s2 == std::char_traits<char>::eof()) {
       throw std::runtime_error("truncated binary trace");
     }
-    const unsigned kind_bits = static_cast<unsigned>(head) & 0x07u;
-    if (kind_bits > static_cast<unsigned>(InstKind::SwPrefetch)) {
-      throw std::runtime_error("invalid instruction kind in binary trace");
-    }
-    TraceRecord r;
-    r.kind = static_cast<InstKind>(kind_bits);
-    r.taken = (head & 0x08) != 0;
-    r.serial = (head & 0x10) != 0;
-    r.pc = prev_pc + static_cast<Pc>(zigzag_decode(get_varint(is)));
-    prev_pc = r.pc;
-    if ((head & 0x20) != 0) {
-      const int d = is.get(), s1 = is.get(), s2 = is.get();
-      if (s2 == std::char_traits<char>::eof()) {
-        throw std::runtime_error("truncated binary trace");
-      }
-      r.dst = static_cast<std::uint8_t>(d & 0x1F);
-      r.src1 = static_cast<std::uint8_t>(s1 & 0x1F);
-      r.src2 = static_cast<std::uint8_t>(s2 & 0x1F);
-    }
-    if (is_mem_kind(r.kind)) {
-      r.addr = prev_addr + static_cast<Addr>(zigzag_decode(get_varint(is)));
-      prev_addr = r.addr;
-    } else if (r.kind == InstKind::Branch) {
-      r.target = r.pc + static_cast<Addr>(zigzag_decode(get_varint(is)));
-    }
-    out.push_back(r);
+    r.dst = static_cast<std::uint8_t>(d & 0x1F);
+    r.src1 = static_cast<std::uint8_t>(s1 & 0x1F);
+    r.src2 = static_cast<std::uint8_t>(s2 & 0x1F);
   }
-  return out;
+  if (is_mem_kind(r.kind)) {
+    r.addr = prev_addr_ + static_cast<Addr>(zigzag_decode(get_varint(is_)));
+    prev_addr_ = r.addr;
+  } else if (r.kind == InstKind::Branch) {
+    r.target = r.pc + static_cast<Addr>(zigzag_decode(get_varint(is_)));
+  }
+  return r;
+}
+
+std::vector<TraceRecord> read_trace_binary(std::istream& is) {
+  BinaryTraceReader reader(is);
+  return collect(reader, std::numeric_limits<std::size_t>::max());
 }
 
 }  // namespace ppf::workload

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "workload/trace.hpp"
@@ -23,8 +24,20 @@ namespace ppf::workload {
 void write_trace_binary(std::ostream& os,
                         const std::vector<TraceRecord>& records);
 
-/// Parse a compact binary trace. Throws std::runtime_error on malformed
-/// input (bad magic, truncation, invalid kind).
+/// Reader of the compact binary format; a bad magic throws
+/// TraceFormatError on construction.
+class BinaryTraceReader final : public TraceReader {
+ public:
+  explicit BinaryTraceReader(std::istream& is, std::string name = "ppfb");
+
+ private:
+  TraceRecord read_record() override;
+
+  Pc prev_pc_ = 0;
+  Addr prev_addr_ = 0;
+};
+
+/// Every record of a compact binary trace (collect() over the reader).
 std::vector<TraceRecord> read_trace_binary(std::istream& is);
 
 // Exposed for unit tests: LEB128 varint and zigzag primitives.

@@ -6,7 +6,9 @@
 // arena builds, regrow-on-demand when a longer job arrives, and the
 // snapshot policy: build a snapshot only for a key with a second
 // declared consumer (or an undeclared job), warm up in place otherwise,
-// and keep snapshots usable across arena regrowth.
+// and keep snapshots usable across arena regrowth. The arena policy is
+// the same: a trace gets an arena only when it is read twice (a static
+// job reads it twice itself) or by an undeclared job.
 #include <string>
 #include <utility>
 
@@ -174,12 +176,77 @@ Job with_window(Job job, std::uint64_t instructions) {
   return job;
 }
 
+TEST(ExecCacheTraces, SingleReadDeclaredBatchBuildsNoArena) {
+  // One declared job per trace: every job streams its generator.
+  ExecCache cache;
+  const Job jobs[] = {cached_job("mcf", 8, 20'000, 10'000),
+                      cached_job("gap", 8, 20'000, 0),
+                      cached_job("em3d", 8, 20'000, 10'000)};
+  for (const Job& j : jobs) cache.note_demand(j);
+  for (const Job& j : jobs) {
+    EXPECT_EQ(diff::result_signature(cache.execute(j)),
+              diff::result_signature(execute_job(j)));
+  }
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 0u);
+  EXPECT_EQ(st.snapshot_builds, 0u);
+  EXPECT_EQ(st.trace_bytes, 0u);
+}
+
+TEST(ExecCacheTraces, TwoDeclaredReadsBuildOneArena) {
+  ExecCache cache;
+  const Job a = cached_job("gzip", 8, 20'000, 0);
+  Job b = a;
+  b.config.filter = "pa";
+  cache.note_demand(a);
+  cache.note_demand(b);
+  for (const Job& j : {a, b}) {
+    EXPECT_EQ(diff::result_signature(cache.execute(j)),
+              diff::result_signature(execute_job(j)));
+  }
+  const ExecCacheStats st = cache.stats();
+  EXPECT_EQ(st.trace_builds, 1u);
+  EXPECT_EQ(st.trace_hits, 1u);
+}
+
+TEST(ExecCacheTraces, StaticJobsReadTheSharedArena) {
+  // A static job reads its trace twice (profile, then measure), so one
+  // declared static job already builds an arena, and a batch of them on
+  // one trace builds exactly one. Both phases run over cursors on it.
+  for (const char* bench : {"mcf", "em3d", "gcc"}) {
+    ExecCache cache;
+    Job job = cached_job(bench, 5, 20'000, 10'000);
+    job.config.filter = "static";
+    const Job longer = with_window(job, 30'000);
+    const Job alone = cached_job(bench, 6, 20'000, 0);
+    Job alone_static = alone;
+    alone_static.config.filter = "static";
+    for (const Job& j : {job, longer, alone_static}) cache.note_demand(j);
+    for (const Job& j : {job, longer, alone_static}) {
+      EXPECT_EQ(diff::result_signature(cache.execute(j)),
+                diff::result_signature(execute_job(j)))
+          << bench;
+    }
+    const ExecCacheStats st = cache.stats();
+    EXPECT_EQ(st.trace_builds, 2u) << bench;
+    EXPECT_EQ(st.trace_hits, 1u) << bench;
+    EXPECT_EQ(st.snapshot_builds, 0u) << bench;
+  }
+}
+
 TEST(ExecCacheSnapshots, KeyDeclaredOnceWarmsUpInPlace) {
+  // Two reads of one trace, so it gets an arena, under two warmup keys
+  // (nsp_degree shapes warmup), each declared once.
   ExecCache cache;
   const Job job = cached_job("mcf", 6, 20'000, 10'000);
+  Job other = job;
+  other.config.nsp_degree = 1;
   cache.note_demand(job);
-  EXPECT_EQ(diff::result_signature(cache.execute(job)),
-            diff::result_signature(execute_job(job)));
+  cache.note_demand(other);
+  for (const Job& j : {job, other}) {
+    EXPECT_EQ(diff::result_signature(cache.execute(j)),
+              diff::result_signature(execute_job(j)));
+  }
   const ExecCacheStats st = cache.stats();
   EXPECT_EQ(st.trace_builds, 1u);
   EXPECT_EQ(st.snapshot_builds, 0u);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 namespace ppf::workload {
 namespace {
@@ -167,6 +169,50 @@ TEST_P(BenchmarkMix, InstructionMixIsPlausible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTen, BenchmarkMix,
+                         ::testing::ValuesIn(benchmark_names()));
+
+/// Columns of `n` records in plain vectors.
+struct OwnedColumns {
+  explicit OwnedColumns(std::size_t n)
+      : pc(n), addr(n), target(n), op(n), dst(n), src1(n), src2(n) {}
+  TraceColumns columns() {
+    return {pc.data(),  addr.data(), target.data(), op.data(),
+            dst.data(), src1.data(), src2.data()};
+  }
+  bool operator==(const OwnedColumns&) const = default;
+
+  std::vector<std::uint64_t> pc, addr, target;
+  std::vector<std::uint8_t> op, dst, src1, src2;
+};
+
+/// The first `n` records of `src`, read in next_batch calls of `chunk`.
+OwnedColumns read_in_chunks(TraceSource& src, std::size_t n,
+                            std::size_t chunk) {
+  OwnedColumns out(n);
+  for (std::size_t got = 0; got < n;) {
+    const std::size_t want = std::min(chunk, n - got);
+    EXPECT_EQ(src.next_batch(out.columns() + got, want), want);
+    got += want;
+  }
+  return out;
+}
+
+class BenchmarkBatching : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BenchmarkBatching, AnyBatchSplitYieldsTheSameColumns) {
+  // Chunks of 63, 64 and 65 put a block's tail across a batch boundary
+  // (blocks hold up to 64 records); 1 and 7 split every block.
+  constexpr std::size_t kN = 20'000;
+  const OwnedColumns whole =
+      read_in_chunks(*make_benchmark(GetParam(), 13), kN, kN);
+  for (const std::size_t chunk : {1, 7, 63, 64, 65, 1000}) {
+    EXPECT_TRUE(read_in_chunks(*make_benchmark(GetParam(), 13), kN, chunk) ==
+                whole)
+        << GetParam() << " in chunks of " << chunk;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTen, BenchmarkBatching,
                          ::testing::ValuesIn(benchmark_names()));
 
 }  // namespace

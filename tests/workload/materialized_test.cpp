@@ -3,13 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <sstream>
 #include <vector>
 
 #include "workload/benchmarks.hpp"
 #include "workload/trace.hpp"
+#include "workload/trace_binary.hpp"
 
 namespace ppf::workload {
 namespace {
+
+/// One next_batch call for up to `n` (at most 64) records, decoded.
+std::vector<TraceRecord> read_batch(TraceSource& src, std::size_t n) {
+  ColumnBuffer<64> buf;
+  std::vector<TraceRecord> out(src.next_batch(buf.columns(), n));
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf.columns().get(i);
+  return out;
+}
 
 std::vector<TraceRecord> make_records(std::size_t n) {
   std::vector<TraceRecord> v(n);
@@ -53,7 +64,8 @@ TEST(MaterializedTraceTest, ShortSourceYieldsShortArena) {
 TEST(MaterializedTraceTest, BytesReflectSoaLayout) {
   VectorTrace vt(make_records(64));
   const auto arena = materialize(vt, 64);
-  EXPECT_EQ(arena->bytes(), 64u * 29u);
+  // pc/addr/target words plus op/dst/src1/src2 bytes.
+  EXPECT_EQ(arena->bytes(), 64u * 28u);
 }
 
 TEST(TraceCursorTest, BatchedAndSingleReadsAgree) {
@@ -68,10 +80,9 @@ TEST(TraceCursorTest, BatchedAndSingleReadsAgree) {
   while (ones.next(r)) got_single.push_back(r);
 
   std::vector<TraceRecord> got_batch;
-  TraceRecord buf[64];
-  std::size_t n;
-  while ((n = batched.next_batch(buf, 64)) > 0) {
-    got_batch.insert(got_batch.end(), buf, buf + n);
+  std::vector<TraceRecord> batch;
+  while (!(batch = read_batch(batched, 64)).empty()) {
+    got_batch.insert(got_batch.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(got_single, got_batch);
   EXPECT_EQ(got_single.size(), records.size());
@@ -107,14 +118,14 @@ TEST(TraceCursorTest, PartialFinalBatchReturnsExactRemainder) {
   const auto arena = materialize(vt, records.size());
 
   TraceCursor cur(arena);
-  TraceRecord buf[64];
-  EXPECT_EQ(cur.next_batch(buf, 64), 64u);
-  EXPECT_EQ(cur.next_batch(buf, 64), 64u);
-  ASSERT_EQ(cur.next_batch(buf, 64), 2u);
-  EXPECT_EQ(buf[0], records[128]);
-  EXPECT_EQ(buf[1], records[129]);
+  EXPECT_EQ(read_batch(cur, 64).size(), 64u);
+  EXPECT_EQ(read_batch(cur, 64).size(), 64u);
+  const std::vector<TraceRecord> tail = read_batch(cur, 64);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0], records[128]);
+  EXPECT_EQ(tail[1], records[129]);
   EXPECT_EQ(cur.remaining(), 0u);
-  EXPECT_EQ(cur.next_batch(buf, 64), 0u);  // stays dry, pos unchanged
+  EXPECT_EQ(read_batch(cur, 64).size(), 0u);  // stays dry, pos unchanged
   EXPECT_EQ(cur.pos(), records.size());
 }
 
@@ -126,16 +137,17 @@ TEST(TraceCursorTest, SeekMidBatchRestartsExactlyAtTarget) {
   const auto arena = materialize(vt, records.size());
 
   TraceCursor cur(arena);
-  TraceRecord buf[64];
-  ASSERT_EQ(cur.next_batch(buf, 64), 64u);
+  ASSERT_EQ(read_batch(cur, 64).size(), 64u);
   cur.seek(37);  // backwards, into the middle of the batch just read
   EXPECT_EQ(cur.pos(), 37u);
-  ASSERT_EQ(cur.next_batch(buf, 64), 64u);
+  std::vector<TraceRecord> buf = read_batch(cur, 64);
+  ASSERT_EQ(buf.size(), 64u);
   for (std::size_t i = 0; i < 64; ++i) {
     ASSERT_EQ(buf[i], records[37 + i]) << "offset " << i;
   }
   cur.seek(170);  // forwards, past data never read through this cursor
-  ASSERT_EQ(cur.next_batch(buf, 64), 30u);
+  buf = read_batch(cur, 64);
+  ASSERT_EQ(buf.size(), 30u);
   EXPECT_EQ(buf[0], records[170]);
   EXPECT_EQ(buf[29], records[199]);
 }
@@ -146,13 +158,13 @@ TEST(TraceCursorTest, ZeroLengthBatchIsANoOp) {
   const auto arena = materialize(vt, records.size());
 
   TraceCursor cur(arena, 3);
-  TraceRecord sentinel{};
-  sentinel.pc = 0xdead;
-  EXPECT_EQ(cur.next_batch(&sentinel, 0), 0u);
-  EXPECT_EQ(cur.pos(), 3u);            // position untouched
-  EXPECT_EQ(sentinel.pc, 0xdeadu);     // buffer untouched
+  ColumnBuffer<1> sentinel{};
+  sentinel.pc[0] = 0xdead;
+  EXPECT_EQ(cur.next_batch(sentinel.columns(), 0), 0u);
+  EXPECT_EQ(cur.pos(), 3u);              // position untouched
+  EXPECT_EQ(sentinel.pc[0], 0xdeadu);    // buffer untouched
   cur.seek(records.size());
-  EXPECT_EQ(cur.next_batch(&sentinel, 0), 0u);  // zero at EOF is fine too
+  EXPECT_EQ(cur.next_batch(sentinel.columns(), 0), 0u);  // zero at EOF too
 }
 
 TEST(TraceCursorTest, BatchedIterationAcrossWarmupPauseBoundary) {
@@ -166,27 +178,26 @@ TEST(TraceCursorTest, BatchedIterationAcrossWarmupPauseBoundary) {
   const auto arena = materialize(vt, records.size());
 
   std::vector<TraceRecord> stitched;
-  TraceRecord buf[64];
+  std::vector<TraceRecord> buf;
   TraceCursor warm(arena);
   while (warm.pos() < kPause) {
-    const std::size_t want = std::min<std::size_t>(64, kPause - warm.pos());
-    const std::size_t got = warm.next_batch(buf, want);
-    ASSERT_GT(got, 0u);
-    stitched.insert(stitched.end(), buf, buf + got);
+    buf = read_batch(warm, std::min<std::size_t>(64, kPause - warm.pos()));
+    ASSERT_FALSE(buf.empty());
+    stitched.insert(stitched.end(), buf.begin(), buf.end());
   }
   ASSERT_EQ(warm.pos(), kPause);
 
   TraceCursor window(arena, warm.pos());  // resume, as run_from_snapshot does
-  std::size_t n;
-  while ((n = window.next_batch(buf, 64)) > 0) {
-    stitched.insert(stitched.end(), buf, buf + n);
+  while (!(buf = read_batch(window, 64)).empty()) {
+    stitched.insert(stitched.end(), buf.begin(), buf.end());
   }
   EXPECT_EQ(stitched, records);
 }
 
 TEST(TraceCursorTest, MatchesStreamingBenchmarkGeneration) {
   // The arena must reproduce the generator's stream exactly — this is
-  // the foundation the simulator-level equivalence tests build on.
+  // the foundation the simulator-level equivalence tests build on — and
+  // so must every other reader of the same records, column by column.
   constexpr std::size_t kN = 20'000;
   auto streaming = make_benchmark("mcf", 7);
   auto again = make_benchmark("mcf", 7);
@@ -199,6 +210,30 @@ TEST(TraceCursorTest, MatchesStreamingBenchmarkGeneration) {
     ASSERT_TRUE(streaming->next(want));
     ASSERT_TRUE(cur.next(got));
     ASSERT_EQ(got, want) << "diverged at record " << i;
+  }
+
+  const std::vector<TraceRecord> records =
+      collect(*make_benchmark("mcf", 7), kN);
+  std::stringstream text, binary;
+  write_trace(text, records);
+  write_trace_binary(binary, records);
+  TraceCursor cursor(arena);
+  VectorTrace vector(records);
+  TextTraceReader text_reader(text);
+  BinaryTraceReader binary_reader(binary);
+  for (TraceSource* src : std::initializer_list<TraceSource*>{
+           &cursor, &vector, &text_reader, &binary_reader}) {
+    const auto copy = materialize(*src, kN + 1);  // every reader ends at kN
+    ASSERT_EQ(copy->size(), kN) << src->name();
+    const ColumnView a = arena->view();
+    const ColumnView b = copy->view();
+    EXPECT_TRUE(std::equal(a.pc, a.pc + kN, b.pc)) << src->name();
+    EXPECT_TRUE(std::equal(a.addr, a.addr + kN, b.addr)) << src->name();
+    EXPECT_TRUE(std::equal(a.target, a.target + kN, b.target)) << src->name();
+    EXPECT_TRUE(std::equal(a.op, a.op + kN, b.op)) << src->name();
+    EXPECT_TRUE(std::equal(a.dst, a.dst + kN, b.dst)) << src->name();
+    EXPECT_TRUE(std::equal(a.src1, a.src1 + kN, b.src1)) << src->name();
+    EXPECT_TRUE(std::equal(a.src2, a.src2 + kN, b.src2)) << src->name();
   }
 }
 

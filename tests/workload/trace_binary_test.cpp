@@ -85,7 +85,32 @@ TEST(BinaryTrace, HugeRecordCountWithoutRecordsIsTruncated) {
     (void)read_trace_binary(ss);
     FAIL() << "read_trace_binary accepted a trace with no records";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "truncated binary trace");
+    EXPECT_STREQ(e.what(), "truncated binary trace at record 0");
+  }
+}
+
+TEST(BinaryTrace, HeaderCountOverShortBodyFailsAtItsEnd) {
+  // A header claiming 2^40 records over a 3-record body: the reader sizes
+  // nothing by the claim, streams the three records, and names record 3
+  // as the one that is missing.
+  auto gen = make_benchmark("gcc", 3);
+  const std::vector<TraceRecord> three = collect(*gen, 3);
+  std::stringstream body;
+  write_trace_binary(body, three);
+  std::stringstream ss;
+  ss.write("ppfbtr02", 8);
+  put_varint(ss, std::uint64_t{1} << 40);
+  ss << body.str().substr(8 + 1);  // drop the real magic and count
+  BinaryTraceReader reader(ss);
+  ColumnBuffer<3> buf;
+  ASSERT_EQ(reader.next_batch(buf.columns(), 3), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(buf.columns().get(i), three[i]);
+  ss.seekg(0);
+  try {
+    (void)read_trace_binary(ss);
+    FAIL() << "read_trace_binary accepted a 3-record body";
+  } catch (const TraceFormatError& e) {
+    EXPECT_STREQ(e.what(), "truncated binary trace at record 3");
   }
 }
 

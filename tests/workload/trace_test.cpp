@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace ppf::workload {
 namespace {
@@ -87,6 +88,30 @@ TEST(TraceIo, RejectsTruncatedStream) {
 TEST(TraceIo, RejectsInvalidKind) {
   std::stringstream ss("ppftrace v2 1\n400000 9 0 0 0 0 0 0 0\n");
   EXPECT_THROW(read_trace(ss), std::runtime_error);
+}
+
+TEST(TraceIo, ReaderStreamsAndNamesTheBadRecord) {
+  // Records before a bad one arrive; the error names the bad one's index.
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::stringstream ss(text);
+    TextTraceReader reader(ss);
+    TraceRecord r;
+    try {
+      while (reader.next(r)) {
+      }
+    } catch (const TraceFormatError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("ppftrace v2 3\n400000 0 0 0 0 0 0 0 0\n"),
+            "truncated ppftrace stream at record 1");
+  EXPECT_EQ(error_of("ppftrace v2 2\n400000 0 0 0 0 0 0 0 0\n"
+                     "400004 9 0 0 0 0 0 0 0\n"),
+            "invalid instruction kind in trace at record 1");
+  EXPECT_EQ(error_of("ppftrace v2 1\n400000 0 0 0 0 0 40 0 0\n"),
+            "invalid register in trace at record 0");
+  EXPECT_EQ(error_of("ppftrace v2 1\n400000 0 0 0 0 0 0 0 0\n"), "no error");
 }
 
 }  // namespace

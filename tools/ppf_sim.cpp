@@ -110,16 +110,18 @@ int main(int argc, char** argv) {
   cfg.obs.enabled = obs_on;
   cfg.obs.sample_interval = sample_interval;
 
+  std::ifstream trace_file;
   std::unique_ptr<workload::TraceSource> source;
   if (!trace_path.empty()) {
-    std::ifstream in(trace_path);
-    if (!in) {
+    trace_file.open(trace_path);
+    if (!trace_file) {
       std::cerr << "cannot open trace file: " << trace_path << "\n";
       return 1;
     }
     try {
-      source = std::make_unique<workload::VectorTrace>(
-          workload::read_trace(in), trace_path);
+      // Records are parsed as the core fetches them.
+      source = std::make_unique<workload::TextTraceReader>(trace_file,
+                                                           trace_path);
     } catch (const std::exception& e) {
       std::cerr << "bad trace file: " << e.what() << "\n";
       return 1;
@@ -144,6 +146,9 @@ int main(int argc, char** argv) {
     // structured failure (component path, invariant ID, cycle) and fail
     // the run cleanly — docs/CHECKING.md lists every invariant.
     std::cerr << v.failure().format() << "\n";
+    return 1;
+  } catch (const workload::TraceFormatError& e) {
+    std::cerr << "bad trace file: " << e.what() << "\n";
     return 1;
   } catch (const std::exception& e) {
     std::cerr << "simulation failed: " << e.what() << "\n";
