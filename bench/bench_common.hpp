@@ -25,8 +25,8 @@ namespace ppf::bench {
 
 /// Everything a bench binary takes from the command line: the base
 /// (Table 1) machine, the runlab worker count (`jobs=N`, 0 = one per
-/// hardware thread) for figures that batch their runs, and every
-/// argument, from which a binary reads its own keys.
+/// hardware thread) and every argument, from which a binary reads its
+/// own keys.
 struct CliOptions {
   sim::SimConfig cfg;
   std::size_t jobs = 0;
@@ -73,10 +73,6 @@ inline CliOptions parse_cli(int argc, char** argv,
     std::exit(2);
   }
   return cli;
-}
-
-inline sim::SimConfig base_config(int argc, char** argv) {
-  return parse_cli(argc, argv).cfg;
 }
 
 }  // namespace ppf::bench

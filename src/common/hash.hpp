@@ -2,7 +2,7 @@
 //
 // Real pollution-filter hardware would index its history table with a few
 // XOR gates; we provide that (FoldXor) plus stronger mixers used in the
-// hash-function ablation study (bench_ablation).
+// hash-function ablation study (`bench_paper fig=ablation`).
 #pragma once
 
 #include <cstdint>

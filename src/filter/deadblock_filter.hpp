@@ -6,8 +6,8 @@
 // would displace looks dead (not touched for at least a full cache
 // turnover of accesses), so live data is never evicted for speculation.
 //
-// Provided as a comparison point (filter=deadblock); bench_extras
-// quantifies it against the paper's history-table filters.
+// Provided as a comparison point (filter=deadblock); `bench_paper
+// fig=extras` quantifies it against the paper's history-table filters.
 #pragma once
 
 #include "filter/filter.hpp"

@@ -22,12 +22,12 @@ struct HistoryTableConfig {
   /// counters).
   std::size_t entries = 4096;
   /// Counter width in bits. Paper: 2. 1- and 3-bit variants are studied
-  /// in bench_ablation.
+  /// in `bench_paper fig=ablation`.
   unsigned counter_bits = 2;
   /// Initial counter value, clamped to the counter range. The paper
   /// assumes a prefetch that first maps to an entry is good, so the
   /// default is the weakly-good state *of the default 2-bit width*.
-  /// This is an explicit config knob (bench_ablation sweeps it), so it
+  /// This is an explicit config knob (fig=ablation sweeps it), so it
   /// stays a raw value: when overriding counter_bits, pick init_value
   /// with SaturatingCounter::weakly_positive/_negative semantics in
   /// mind — for 1-bit counters an inherited 2 clamps to saturated-good.
@@ -36,13 +36,13 @@ struct HistoryTableConfig {
   /// default: consecutive lines map to consecutive entries, so a small
   /// polluting region poisons only its own slice of the table instead of
   /// scattering bad feedback over every entry. The stronger mixers are
-  /// studied in bench_ablation.
+  /// studied in `bench_paper fig=ablation`.
   HashKind hash = HashKind::Modulo;
   /// Interleave the prefetch source into the index (key*4 | source). The
   /// prefetch generator knows which engine produced each request (Figure
   /// 3 routes them separately), and NSP/SDP/software prefetches of the
   /// *same* line routinely have opposite outcomes — without separation
-  /// their feedback cancels in one counter. bench_ablation quantifies it.
+  /// their feedback cancels in one counter. fig=ablation quantifies it.
   bool source_separated = true;
 };
 

@@ -3,7 +3,8 @@
 // It is the classic *conflict-miss* mitigation and, like the dedicated
 // prefetch buffer of Section 5.5, a hardware alternative the pollution
 // filter competes with — if pollution evictions were cheap to undo, the
-// filter would matter less. bench_extras quantifies the interaction.
+// filter would matter less. `bench_paper fig=extras` quantifies the
+// interaction.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,8 @@
 // to this simulator's candidate model: instead of holding data in FIFO
 // buffers probed beside the cache, each tracked stream emits prefetch
 // candidates that run `depth` lines ahead of the demand stream. An
-// extension beyond the paper's NSP/SDP pair; exercised by bench_ablation
-// and the extras bench.
+// extension beyond the paper's NSP/SDP pair; exercised by the prefetcher
+// zoo of `bench_paper fig=extras`.
 #pragma once
 
 #include <vector>

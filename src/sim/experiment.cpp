@@ -11,14 +11,6 @@ SimResult run_benchmark(const SimConfig& cfg, const std::string& bench) {
   return sim.run(*trace);
 }
 
-std::vector<SimResult> run_all_benchmarks(const SimConfig& cfg) {
-  std::vector<SimResult> out;
-  for (const std::string& name : workload::benchmark_names()) {
-    out.push_back(run_benchmark(cfg, name));
-  }
-  return out;
-}
-
 SimResult run_static_filter(const SimConfig& cfg,
                             workload::TraceSource& profile,
                             workload::TraceSource& measure) {

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -11,9 +10,6 @@ namespace ppf::sim {
 /// Run one named benchmark under `cfg`. The workload seed is derived from
 /// cfg.seed, so identical configs reproduce identical traces.
 SimResult run_benchmark(const SimConfig& cfg, const std::string& bench);
-
-/// Run every Table 2 benchmark under `cfg`, in Table 2 order.
-std::vector<SimResult> run_all_benchmarks(const SimConfig& cfg);
 
 /// Two-phase static-filter flow (Srinivasan et al. [18]): profile the
 /// program once with the filter recording outcomes, freeze the profile,

@@ -13,7 +13,8 @@
 //   useless           never used, displaced line never missed again
 //
 // The paper's "good" = useful + useful-polluting; "bad" = polluting +
-// useless. bench_taxonomy reports how much pollution hides inside each.
+// useless. `bench_paper fig=extras` reports how much pollution hides
+// inside each.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,8 @@
 // This is the scenario behind the paper's criticism of the static filter
 // [18]: "it lacks the dynamic adaptivity during runtime when the working
 // set changes". Context switches change the working set wholesale; a
-// dynamic filter relearns, a frozen profile cannot. bench_phases
-// quantifies exactly that.
+// dynamic filter relearns, a frozen profile cannot. `bench_paper
+// fig=phases` quantifies exactly that.
 #pragma once
 
 #include <memory>

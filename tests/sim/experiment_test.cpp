@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "workload/benchmarks.hpp"
-
 namespace ppf::sim {
 namespace {
 
@@ -18,18 +16,6 @@ TEST(Experiment, RunBenchmarkByName) {
   const SimResult r = run_benchmark(tiny_cfg(), "wave5");
   EXPECT_EQ(r.workload, "wave5");
   EXPECT_GT(r.core.instructions, 0u);
-}
-
-TEST(Experiment, RunAllCoversTableTwoOrder) {
-  SimConfig cfg = tiny_cfg();
-  cfg.max_instructions = 30'000;
-  cfg.warmup_instructions = 0;
-  const auto results = run_all_benchmarks(cfg);
-  const auto& names = workload::benchmark_names();
-  ASSERT_EQ(results.size(), names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(results[i].workload, names[i]);
-  }
 }
 
 TEST(Experiment, ScenariosUseTheThreeFilters) {
