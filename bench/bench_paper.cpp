@@ -11,11 +11,10 @@
 // benchmark) pairs, so a printer's requests must not depend on results.
 // It then runs each distinct pair once (by diff::config_digest)
 // in one runlab::run_jobs call, so each benchmark trace is built at
-// most once and shared, and the second pass prints. The one printer whose
-// traces are not benchmark traces (phases) simulates directly, in the
-// printing pass only. Rows print in table order; the output of `fig=all`
-// at the defaults is committed as bench/paper_figures.txt. Remaining
-// key=value args configure the base machine.
+// most once and shared, and the second pass prints. Rows print in table
+// order; the output of `fig=all` at the defaults is committed as
+// bench/paper_figures.txt. Remaining key=value args configure the base
+// machine.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,7 +28,6 @@
 
 #include "bench_common.hpp"
 #include "diff/signature.hpp"
-#include "workload/interleaved.hpp"
 
 using namespace ppf;
 
@@ -81,9 +79,6 @@ class Runs {
     return ok;
   }
 
-  /// True in the collecting pass, where a printer that simulates on its
-  /// own skips its runs.
-  [[nodiscard]] bool collecting() const { return collecting_; }
   [[nodiscard]] std::size_t requested() const { return requested_; }
   [[nodiscard]] std::size_t distinct() const { return jobs_.size(); }
 
@@ -848,49 +843,28 @@ void energy(Page p) {
   b.print(p.os);
 }
 
-/// Programs `a` and `b` (workload seeds `seed` and `seed + 1`), switching
-/// every `interval` instructions.
-std::unique_ptr<workload::InterleavedTrace> mix(const std::string& a,
-                                                const std::string& b,
-                                                std::uint64_t interval,
-                                                std::uint64_t seed) {
-  std::vector<std::unique_ptr<workload::TraceSource>> sources;
-  sources.push_back(workload::make_benchmark(a, seed));
-  sources.push_back(workload::make_benchmark(b, seed + 1));
-  return std::make_unique<workload::InterleavedTrace>(std::move(sources),
-                                                      interval);
-}
-
 // Phases — working-set phase changes, the dynamic-vs-static argument.
 // The paper's case against the profile-based static filter [18] is that
 // "it lacks the dynamic adaptivity during runtime when the working set
 // changes". Each row is a multiprogrammed trace that context-switches
 // between two benchmarks with different prefetch behaviour. The static
 // filter is profiled on the first program alone (profile one input, meet
-// another at runtime); the dynamic filters relearn at each switch. These
-// mixes are not benchmark traces, so this printer simulates them itself,
-// in the printing pass only.
+// another at runtime); the dynamic filters relearn at each switch.
 void phases(Page p) {
-  if (p.runs.collecting()) return;
-  const std::pair<const char*, const char*> pairs[] = {
-      {"em3d", "gzip"}, {"mcf", "wave5"}, {"gcc", "fpppp"}};
-  const std::uint64_t interval = 100'000;  // instructions per time slice
-
   sim::Table t({"workload mix", "IPC none", "IPC static(profiled A)",
                 "IPC PA", "IPC PC", "bad kept: static", "bad kept: pa"});
-  for (const auto& [a, b] : pairs) {
-    const auto run_mix = [&](const char* filter) {
+  for (const char* programs : {"em3d+gzip", "mcf+wave5", "gcc+fpppp"}) {
+    // 100000 instructions per time slice.
+    const std::string mix = std::string(programs) + "/100000";
+    const auto run = [&](const char* filter) -> const sim::SimResult& {
       sim::SimConfig cfg = p.base;
       cfg.filter = filter;
-      return sim::Simulator(cfg).run(*mix(a, b, interval, cfg.seed));
+      return p.runs(cfg, mix);
     };
-    const sim::SimResult none = run_mix("none");
-    const sim::SimResult pa = run_mix("pa");
-    const sim::SimResult pc = run_mix("pc");
-    // Static filter: profile program A alone, freeze, deploy on the mix.
-    const sim::SimResult stat = sim::run_static_filter(
-        p.base, *workload::make_benchmark(a, p.base.seed),
-        *mix(a, b, interval, p.base.seed));
+    const sim::SimResult& none = run("none");
+    const sim::SimResult& pa = run("pa");
+    const sim::SimResult& pc = run("pc");
+    const sim::SimResult& stat = run("static");
 
     auto kept = [&](const sim::SimResult& r) {
       return none.bad_total() == 0
@@ -898,8 +872,8 @@ void phases(Page p) {
                  : static_cast<double>(r.bad_total()) /
                        static_cast<double>(none.bad_total());
     };
-    t.add_row({std::string(a) + "+" + b, sim::fmt(none.ipc()),
-               sim::fmt(stat.ipc()), sim::fmt(pa.ipc()), sim::fmt(pc.ipc()),
+    t.add_row({programs, sim::fmt(none.ipc()), sim::fmt(stat.ipc()),
+               sim::fmt(pa.ipc()), sim::fmt(pc.ipc()),
                sim::fmt_pct(kept(stat)), sim::fmt_pct(kept(pa))});
   }
   t.print(p.os);

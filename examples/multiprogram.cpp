@@ -5,35 +5,22 @@
 //
 //   ./multiprogram [a=em3d] [b=gzip] [slice=100000] [instructions=800000]
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "common/config.hpp"
+#include "sim/experiment.hpp"
 #include "sim/report.hpp"
-#include "sim/simulator.hpp"
-#include "workload/benchmarks.hpp"
-#include "workload/interleaved.hpp"
 
 using namespace ppf;
-
-namespace {
-
-std::unique_ptr<workload::InterleavedTrace> make_mix(const std::string& a,
-                                                     const std::string& b,
-                                                     std::uint64_t slice,
-                                                     std::uint64_t seed) {
-  std::vector<std::unique_ptr<workload::TraceSource>> v;
-  v.push_back(workload::make_benchmark(a, seed));
-  v.push_back(workload::make_benchmark(b, seed + 1));
-  return std::make_unique<workload::InterleavedTrace>(std::move(v), slice);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const ParamMap params = ParamMap::from_args(argc, argv);
   const std::string a = params.get_string("a", "em3d");
   const std::string b = params.get_string("b", "gzip");
   const std::uint64_t slice = params.get_u64("slice", 100'000);
+  // A mix is a benchmark name: program A on the workload seed, B on the
+  // next one.
+  const std::string mix = a + "+" + b + "/" + std::to_string(slice);
 
   sim::SimConfig cfg = sim::SimConfig::paper_default();
   cfg.max_instructions = params.get_u64("instructions", 800'000);
@@ -48,9 +35,7 @@ int main(int argc, char** argv) {
        {"none", "pa",
         "pc", "adaptive"}) {
     cfg.filter = kind;
-    auto mix = make_mix(a, b, slice, cfg.seed);
-    sim::Simulator sim(cfg);
-    const sim::SimResult r = sim.run(*mix);
+    const sim::SimResult r = sim::run_benchmark(cfg, mix);
     t.add_row({kind, sim::fmt(r.ipc()),
                sim::fmt_u64(r.good_total()), sim::fmt_u64(r.bad_total()),
                sim::fmt_u64(r.filter_rejected),

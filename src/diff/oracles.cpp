@@ -30,9 +30,6 @@ const sim::SimResult& OracleContext::baseline() {
 }
 
 sim::SimResult OracleContext::run_config(const sim::SimConfig& cfg) const {
-  if (cfg.filter == "static") {
-    return sim::run_static_filter(cfg, point_.benchmark);
-  }
   return sim::run_benchmark(cfg, point_.benchmark);
 }
 

@@ -50,8 +50,8 @@ class OracleContext {
   /// The baseline run (computed on first use, then cached).
   const sim::SimResult& baseline();
 
-  /// Fresh run of `cfg` over the point's benchmark, dispatching static
-  /// filters through the two-phase flow. No caching.
+  /// Fresh cold run (sim::run_benchmark) of `cfg` over the point's
+  /// benchmark. No caching.
   [[nodiscard]] sim::SimResult run_config(const sim::SimConfig& cfg) const;
 
   /// run_config of a mutated copy of the point's config.

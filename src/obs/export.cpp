@@ -3,38 +3,40 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
+#include <sstream>
 
 namespace ppf::obs {
 
-namespace {
-
-/// Minimal JSON string escaper (names here are identifiers and
-/// benchmark names, but a trace path in meta could contain anything).
-std::string jstr(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
+void write_json_string(std::ostream& os, const std::string& s) {
+  os << '"';
   for (char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(c));
-          out += buf;
+          os << buf;
         } else {
-          out += c;
+          os << c;
         }
     }
   }
-  out += '"';
-  return out;
+  os << '"';
 }
+
+std::string json_string(const std::string& s) {
+  std::ostringstream os;
+  write_json_string(os, s);
+  return os.str();
+}
+
+namespace {
 
 /// Deterministic float formatting shared by every export.
 std::string jnum(double v) {
@@ -53,7 +55,7 @@ void write_event_counts(std::ostream& os, const RunObservation& obs) {
   os << '{';
   for (std::size_t k = 0; k < kNumEventKinds; ++k) {
     if (k != 0) os << ',';
-    os << jstr(to_string(static_cast<EventKind>(k))) << ':'
+    os << json_string(to_string(static_cast<EventKind>(k))) << ':'
        << obs.event_counts[k];
   }
   os << '}';
@@ -63,8 +65,9 @@ void write_event_counts(std::ostream& os, const RunObservation& obs) {
 
 void write_trace_jsonl(std::ostream& os, const RunObservation& obs,
                        const ExportMeta& meta) {
-  os << "{\"schema\":\"ppf.trace.v1\",\"workload\":" << jstr(meta.workload)
-     << ",\"filter\":" << jstr(meta.filter)
+  os << "{\"schema\":\"ppf.trace.v1\",\"workload\":"
+     << json_string(meta.workload)
+     << ",\"filter\":" << json_string(meta.filter)
      << ",\"events\":" << obs.events.size()
      << ",\"dropped\":" << obs.dropped_events << ",\"counts\":";
   write_event_counts(os, obs);
@@ -86,12 +89,12 @@ void write_trace_chrome(std::ostream& os, const RunObservation& obs,
   os << "{\"traceEvents\":["
      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{"
         "\"name\":"
-     << jstr("ppf " + meta.workload + "/" + meta.filter) << "}}";
+     << json_string("ppf " + meta.workload + "/" + meta.filter) << "}}";
   for (std::size_t s = 0; s < kNumPrefetchSources; ++s) {
     os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
        << (s + 1) << ",\"args\":{\"name\":"
-       << jstr(std::string("prefetch:") +
-               to_string(static_cast<PrefetchSource>(s)))
+       << json_string(std::string("prefetch:") +
+                      to_string(static_cast<PrefetchSource>(s)))
        << "}}";
   }
   for (const TraceEvent& e : obs.events) {
@@ -103,7 +106,7 @@ void write_trace_chrome(std::ostream& os, const RunObservation& obs,
   }
   os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
         "\"ppf.trace.v1\",\"workload\":"
-     << jstr(meta.workload) << ",\"filter\":" << jstr(meta.filter)
+     << json_string(meta.workload) << ",\"filter\":" << json_string(meta.filter)
      << ",\"dropped\":" << obs.dropped_events << ",\"counts\":";
   write_event_counts(os, obs);
   os << "}}\n";
@@ -113,10 +116,11 @@ void write_timeseries_json(std::ostream& os, const RunObservation& obs,
                            const ExportMeta& meta) {
   const TimeSeries& ts = obs.timeseries;
   os << "{\n  \"schema\": \"ppf.timeseries.v1\",\n  \"workload\": "
-     << jstr(meta.workload) << ",\n  \"filter\": " << jstr(meta.filter)
+     << json_string(meta.workload)
+     << ",\n  \"filter\": " << json_string(meta.filter)
      << ",\n  \"sample_interval\": " << ts.sample_interval
      << ",\n  \"columns\": [\"cycle_start\", \"cycle_end\"";
-  for (const std::string& c : ts.columns) os << ", " << jstr(c);
+  for (const std::string& c : ts.columns) os << ", " << json_string(c);
   os << "],\n  \"rows\": [";
   for (std::size_t i = 0; i < ts.rows.size(); ++i) {
     const TimeSeriesRow& r = ts.rows[i];
@@ -127,12 +131,12 @@ void write_timeseries_json(std::ostream& os, const RunObservation& obs,
   os << "\n  ],\n  \"final\": {\n    \"counters\": {";
   const MetricsSnapshot& fm = obs.final_metrics;
   for (std::size_t i = 0; i < fm.counters.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << jstr(fm.counters[i].first) << ": "
+    os << (i == 0 ? "" : ", ") << json_string(fm.counters[i].first) << ": "
        << fm.counters[i].second;
   }
   os << "},\n    \"gauges\": {";
   for (std::size_t i = 0; i < fm.gauges.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << jstr(fm.gauges[i].first) << ": "
+    os << (i == 0 ? "" : ", ") << json_string(fm.gauges[i].first) << ": "
        << jnum(fm.gauges[i].second);
   }
   os << "},\n    \"histograms\": {";
@@ -142,7 +146,8 @@ void write_timeseries_json(std::ostream& os, const RunObservation& obs,
   // stats verb and the Prometheus exposition instead.
   for (std::size_t i = 0; i < fm.histograms.size(); ++i) {
     const HistogramSnapshot& h = fm.histograms[i];
-    os << (i == 0 ? "" : ", ") << jstr(h.name) << ": {\"count\": " << h.count
+    os << (i == 0 ? "" : ", ") << json_string(h.name)
+       << ": {\"count\": " << h.count
        << ", \"mean\": " << jnum(h.mean) << ", \"p50\": " << jnum(h.p50)
        << ", \"p95\": " << jnum(h.p95) << ", \"p99\": " << jnum(h.p99)
        << ", \"max\": " << h.max << '}';
@@ -200,12 +205,12 @@ void write_spans_chrome(std::ostream& os,
   os << "{\"traceEvents\":["
      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{"
         "\"name\":"
-     << jstr(process_name) << "}}";
+     << json_string(process_name) << "}}";
   std::uint64_t dropped = 0;
   for (const ConnectionSpans& c : conns) {
     os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
        << c.conn << ",\"args\":{\"name\":"
-       << jstr("conn " + std::to_string(c.conn)) << "}}";
+       << json_string("conn " + std::to_string(c.conn)) << "}}";
     dropped += c.dropped;
   }
   for (const ConnectionSpans& c : conns) {

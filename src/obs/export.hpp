@@ -24,6 +24,15 @@
 
 namespace ppf::obs {
 
+/// Write `s` as a JSON string literal: quoted, with `"`, `\`, newline,
+/// tab and carriage return backslash-escaped and every other control
+/// byte as \u00XX. The one escaper behind every JSON document ppf writes
+/// (exports, flight dumps, runlab payloads, serve responses).
+void write_json_string(std::ostream& os, const std::string& s);
+
+/// write_json_string's output as a string, for insertion chains.
+std::string json_string(const std::string& s);
+
 /// Context stamped into export headers (never into event payloads).
 struct ExportMeta {
   std::string workload;

@@ -7,35 +7,11 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
+
 namespace ppf::obs {
 
 namespace {
-
-std::string jstr(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 /// Copy `s` into `dst` keeping only printable ASCII minus the two JSON
 /// string delimiters — safe to splice into a snprintf'd JSON line from
@@ -103,7 +79,8 @@ void FlightRecorder::dump(std::ostream& os) const {
   for (std::uint64_t i = notes_seen_ - note_kept; i < notes_seen_; ++i) {
     const FlightNote& n = notes_[i % notes_.size()];
     os << "{\"type\":\"note\",\"t_us\":" << n.t_us
-       << ",\"kind\":" << jstr(n.kind) << ",\"message\":" << jstr(n.message)
+       << ",\"kind\":" << json_string(n.kind)
+       << ",\"message\":" << json_string(n.message)
        << "}\n";
   }
   for (std::uint64_t i = spans_seen_ - span_kept; i < spans_seen_; ++i) {

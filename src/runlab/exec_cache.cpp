@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "runlab/runner.hpp"
@@ -55,6 +56,15 @@ bool ExecCache::is_static(const Job& job) {
   return job.config.filter == "static";
 }
 
+bool ExecCache::is_static_mix(const Job& job) {
+  if (!is_static(job)) return false;
+  try {
+    return workload::parse_benchmark_name(job.benchmark).programs.size() > 1;
+  } catch (const std::invalid_argument&) {
+    return false;  // fails in the arena build, as any bad name does
+  }
+}
+
 void ExecCache::raise_watermark(const Job& job) {
   const std::size_t need = needed_records(job);
   std::lock_guard<std::mutex> lk(mu_);
@@ -68,7 +78,7 @@ std::size_t ExecCache::trace_reads(const Job& job) {
 }
 
 void ExecCache::note_demand(const Job& job) {
-  if (!cfg_.trace_cache) return;
+  if (!cfg_.trace_cache || is_static_mix(job)) return;
   raise_watermark(job);
   std::lock_guard<std::mutex> lk(mu_);
   reads_[trace_key(job)] += trace_reads(job);
@@ -98,7 +108,7 @@ bool ExecCache::reads_arena(const Job& job) {
 }
 
 sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
-  if (!cfg_.trace_cache || !reads_arena(job)) {
+  if (!cfg_.trace_cache || is_static_mix(job) || !reads_arena(job)) {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
     const ProfClock::time_point t0 = ProfClock::now();
     sim::SimResult result = execute_job(job);

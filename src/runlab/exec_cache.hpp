@@ -1,10 +1,13 @@
 // runlab: process-lifetime execution caches.
 //
 // A batch run reuses two expensive artifacts across jobs: materialized
-// trace arenas (one per distinct benchmark x seed) and warmup snapshots
+// trace arenas (one per distinct benchmark name x seed; a mix name such
+// as em3d+gzip/100000 is one trace like any other) and warmup snapshots
 // (one per distinct trace x warmup-relevant config; see sim::warmup_key).
 // Static-filter jobs read the arena twice, once per phase of their
 // profile/measure flow; they share no snapshot (their filter is external).
+// A static mix profiles on its first program, which is not its trace, so
+// it declares no reads and streams both phases as execute_job does.
 // ExecCache holds that state in an object a caller may keep alive for as
 // long as it likes — the sweep-as-a-service daemon (src/serve) owns one
 // for its whole process lifetime, so every request after the first hits
@@ -148,6 +151,9 @@ class ExecCache {
   static std::string trace_key(const Job& job);
   static std::string snapshot_key(const Job& job);
   static bool is_static(const Job& job);
+  /// A static job whose profile program (its mix's first) is another
+  /// trace than the one it measures: it streams both.
+  static bool is_static_mix(const Job& job);
   /// Times `job` reads its trace.
   static std::size_t trace_reads(const Job& job);
   /// Take `job`'s declared reads off its trace key; false when the job

@@ -38,9 +38,6 @@ double safe_mips(std::uint64_t instructions, double wall_ms) {
 }
 
 sim::SimResult execute_job(const Job& job) {
-  if (job.config.filter == "static") {
-    return sim::run_static_filter(job.config, job.benchmark);
-  }
   return sim::run_benchmark(job.config, job.benchmark);
 }
 

@@ -151,9 +151,9 @@ struct RunReport {
   RunTelemetry telemetry;
 };
 
-/// Execute one job synchronously on the calling thread. Static filters
-/// dispatch through the two-phase profile-then-measure flow; everything
-/// else is a plain Simulator::run. Throws on bad benchmark names etc.
+/// Execute one job synchronously on the calling thread: the cold
+/// sim::run_benchmark of its config and benchmark name. Throws on bad
+/// benchmark names etc.
 sim::SimResult execute_job(const Job& job);
 
 /// One-line identity + config string for a job, used to prefix every

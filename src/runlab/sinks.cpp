@@ -1,34 +1,11 @@
 #include "runlab/sinks.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "sim/report.hpp"
 
 namespace ppf::runlab {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_metrics_json(std::ostream& os, const sim::SimResult& r) {
   os << "{"

@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "obs/export.hpp"
 #include "runlab/runner.hpp"
 
 namespace ppf::runlab {
@@ -25,7 +26,7 @@ std::string to_json(const RunReport& rep);
 void write_metrics_json(std::ostream& os, const sim::SimResult& r);
 
 /// JSON string escaping used by every runlab/serve payload writer.
-void write_json_string(std::ostream& os, const std::string& s);
+using obs::write_json_string;
 
 /// CSV: the sweep axes (index, variant, seed, ok, error) followed by the
 /// canonical sim::result_row columns.

@@ -1,5 +1,4 @@
-// ppf::serve — soak-test load generator (the library behind ppf_load
-// and bench_serve).
+// ppf::serve — soak-test load generator (the library behind ppf_load).
 //
 // Opens N concurrent connections to a running daemon and drives a total
 // of R `run` requests through them (each connection issues the next

@@ -3,7 +3,7 @@
 #include <cctype>
 #include <sstream>
 
-#include "runlab/sinks.hpp"
+#include "obs/export.hpp"
 
 namespace ppf::serve {
 
@@ -134,12 +134,6 @@ class Scanner {
   std::string error_;
 };
 
-std::string escaped(const std::string& s) {
-  std::ostringstream os;
-  runlab::write_json_string(os, s);
-  return os.str();
-}
-
 }  // namespace
 
 ParseResult parse_request(const std::string& line) {
@@ -195,8 +189,9 @@ ParseResult parse_request(const std::string& line) {
 std::string error_response(std::uint64_t id, const std::string& code,
                            const std::string& message) {
   std::ostringstream os;
-  os << "{\"op\":\"error\",\"id\":" << id << ",\"code\":" << escaped(code)
-     << ",\"message\":" << escaped(message) << "}";
+  os << "{\"op\":\"error\",\"id\":" << id
+     << ",\"code\":" << obs::json_string(code)
+     << ",\"message\":" << obs::json_string(message) << "}";
   return os.str();
 }
 

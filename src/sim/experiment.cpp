@@ -7,8 +7,12 @@ namespace ppf::sim {
 
 SimResult run_benchmark(const SimConfig& cfg, const std::string& bench) {
   auto trace = workload::make_benchmark(bench, cfg.seed);
-  Simulator sim(cfg);
-  return sim.run(*trace);
+  if (cfg.filter == "static") {
+    auto profile = workload::make_benchmark(
+        workload::parse_benchmark_name(bench).programs.front(), cfg.seed);
+    return run_static_filter(cfg, *profile, *trace);
+  }
+  return Simulator(cfg).run(*trace);
 }
 
 SimResult run_static_filter(const SimConfig& cfg,
@@ -18,14 +22,8 @@ SimResult run_static_filter(const SimConfig& cfg,
   // Phase 1: profile (admits everything, records outcomes).
   (void)Simulator(cfg).run(profile, &filt);
   filt.freeze();
-  // Phase 2: measure the same program under the frozen profile.
+  // Phase 2: measure under the frozen profile.
   return Simulator(cfg).run(measure, &filt);
-}
-
-SimResult run_static_filter(const SimConfig& cfg, const std::string& bench) {
-  auto profile = workload::make_benchmark(bench, cfg.seed);
-  auto measure = workload::make_benchmark(bench, cfg.seed);
-  return run_static_filter(cfg, *profile, *measure);
 }
 
 ScenarioResults run_filter_scenarios(const SimConfig& base,

@@ -7,20 +7,19 @@
 
 namespace ppf::sim {
 
-/// Run one named benchmark under `cfg`. The workload seed is derived from
-/// cfg.seed, so identical configs reproduce identical traces.
+/// The one cold run of a config: streams the trace workload::make_benchmark
+/// names (a benchmark or a mix) on workload seed cfg.seed, so identical
+/// configs reproduce identical traces. filter=static runs the two-phase
+/// flow below, profiled on the name's first program: the benchmark
+/// itself, or program A of a mix.
 SimResult run_benchmark(const SimConfig& cfg, const std::string& bench);
 
-/// Two-phase static-filter flow (Srinivasan et al. [18]): profile the
+/// Two-phase static-filter flow (Srinivasan et al. [18]): profile a
 /// program once with the filter recording outcomes, freeze the profile,
-/// then measure a second, identical run filtered by the frozen profile.
-/// `profile` and `measure` must yield the same records.
+/// then measure `measure` filtered by the frozen profile.
 SimResult run_static_filter(const SimConfig& cfg,
                             workload::TraceSource& profile,
                             workload::TraceSource& measure);
-
-/// The two-phase flow over two fresh generators of benchmark `bench`.
-SimResult run_static_filter(const SimConfig& cfg, const std::string& bench);
 
 /// The three default evaluation scenarios of Section 5.2.
 struct ScenarioResults {

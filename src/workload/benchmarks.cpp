@@ -1,11 +1,13 @@
 #include "workload/benchmarks.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "workload/interleaved.hpp"
 
 namespace ppf::workload {
 namespace {
@@ -320,8 +322,15 @@ PaperMissRates paper_miss_rates(std::string_view name) {
   throw std::invalid_argument("unknown benchmark: " + std::string(name));
 }
 
-std::unique_ptr<SyntheticBenchmark> make_benchmark(std::string_view name,
-                                                   std::uint64_t seed) {
+namespace {
+
+bool is_table2(std::string_view name) {
+  const std::vector<std::string>& names = benchmark_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+std::unique_ptr<SyntheticBenchmark> make_program(std::string_view name,
+                                                 std::uint64_t seed) {
   RegionAllocator mem;
   BenchSpec s;
   s.name = std::string(name);
@@ -481,6 +490,59 @@ std::unique_ptr<SyntheticBenchmark> make_benchmark(std::string_view name,
   }
 
   return std::make_unique<SyntheticBenchmark>(std::move(s), seed);
+}
+
+}  // namespace
+
+BenchmarkName parse_benchmark_name(std::string_view name) {
+  BenchmarkName parsed;
+  const std::size_t slash = name.find('/');
+  for (std::string_view rest = name.substr(0, slash);;) {
+    const std::size_t plus = rest.find('+');
+    parsed.programs.emplace_back(rest.substr(0, plus));
+    if (plus == std::string_view::npos) break;
+    rest.remove_prefix(plus + 1);
+  }
+  if (parsed.programs.size() == 1 && slash == std::string_view::npos) {
+    if (!is_table2(name)) {
+      throw std::invalid_argument("unknown benchmark: " + std::string(name));
+    }
+    return parsed;
+  }
+  const std::string mix = "mix '" + std::string(name) + "': ";
+  if (slash == std::string_view::npos) {
+    throw std::invalid_argument(mix + "no /SLICE after its programs");
+  }
+  const std::string_view slice = name.substr(slash + 1);
+  const char* end = slice.data() + slice.size();
+  const auto [stop, ec] = std::from_chars(slice.data(), end, parsed.slice);
+  if (slice.empty() || slice[0] == '0' || ec != std::errc() || stop != end) {
+    throw std::invalid_argument(mix + "slice '" + std::string(slice) +
+                                "' is not a positive decimal integer "
+                                "without a leading zero");
+  }
+  if (parsed.programs.size() < 2 || parsed.programs.size() > kMaxMixPrograms) {
+    throw std::invalid_argument(
+        mix + std::to_string(parsed.programs.size()) +
+        " program(s); a mix runs 2 to " + std::to_string(kMaxMixPrograms));
+  }
+  for (const std::string& program : parsed.programs) {
+    if (!is_table2(program)) {
+      throw std::invalid_argument(mix + "unknown benchmark: " + program);
+    }
+  }
+  return parsed;
+}
+
+std::unique_ptr<TraceSource> make_benchmark(std::string_view name,
+                                            std::uint64_t seed) {
+  const BenchmarkName parsed = parse_benchmark_name(name);
+  if (parsed.programs.size() == 1) return make_program(name, seed);
+  std::vector<std::unique_ptr<TraceSource>> sources;
+  for (std::size_t i = 0; i < parsed.programs.size(); ++i) {
+    sources.push_back(make_program(parsed.programs[i], seed + i));
+  }
+  return std::make_unique<InterleavedTrace>(std::move(sources), parsed.slice);
 }
 
 }  // namespace ppf::workload

@@ -111,9 +111,27 @@ struct PaperMissRates {
 };
 PaperMissRates paper_miss_rates(std::string_view name);
 
-/// Construct a named benchmark. Throws std::invalid_argument for an
-/// unknown name.
-std::unique_ptr<SyntheticBenchmark> make_benchmark(std::string_view name,
-                                                   std::uint64_t seed);
+/// The most programs one mix name may list.
+inline constexpr std::size_t kMaxMixPrograms = 8;
+
+/// A benchmark name split into its programs. `mcf` names one Table 2
+/// program (slice 0). `em3d+gzip/100000` names a mix: two to
+/// kMaxMixPrograms programs, switching every `slice` instructions.
+struct BenchmarkName {
+  std::vector<std::string> programs;
+  std::uint64_t slice = 0;
+};
+
+/// Parse and check a benchmark name without building a generator. A
+/// mix's SLICE is a positive decimal with no leading zero, so each trace
+/// has exactly one name. Throws std::invalid_argument naming the bad
+/// part.
+BenchmarkName parse_benchmark_name(std::string_view name);
+
+/// Construct a named trace: one benchmark on workload seed `seed`, or a
+/// mix (workload::InterleavedTrace) whose program i runs on seed
+/// `seed + i`. Throws std::invalid_argument as parse_benchmark_name does.
+std::unique_ptr<TraceSource> make_benchmark(std::string_view name,
+                                            std::uint64_t seed);
 
 }  // namespace ppf::workload

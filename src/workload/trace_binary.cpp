@@ -132,4 +132,16 @@ std::vector<TraceRecord> read_trace_binary(std::istream& is) {
   return collect(reader, std::numeric_limits<std::size_t>::max());
 }
 
+std::unique_ptr<TraceReader> open_trace(std::istream& is, std::string name) {
+  const std::istream::pos_type start = is.tellg();
+  char head[sizeof(kMagic)];
+  is.read(head, sizeof(head));
+  const bool binary = is.gcount() == sizeof(head) &&
+                      std::equal(head, head + sizeof(head), kMagic);
+  is.clear();
+  is.seekg(start);
+  if (binary) return std::make_unique<BinaryTraceReader>(is, std::move(name));
+  return std::make_unique<TextTraceReader>(is, std::move(name));
+}
+
 }  // namespace ppf::workload

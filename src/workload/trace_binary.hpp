@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,12 @@ class BinaryTraceReader final : public TraceReader {
 
 /// Every record of a compact binary trace (collect() over the reader).
 std::vector<TraceRecord> read_trace_binary(std::istream& is);
+
+/// The reader for a serialized trace on a seekable stream, chosen by its
+/// first bytes: the "ppfbtr02" magic opens a BinaryTraceReader, anything
+/// else a TextTraceReader. The chosen reader's TraceFormatError for a
+/// bad header propagates.
+std::unique_ptr<TraceReader> open_trace(std::istream& is, std::string name);
 
 // Exposed for unit tests: LEB128 varint and zigzag primitives.
 void put_varint(std::ostream& os, std::uint64_t v);

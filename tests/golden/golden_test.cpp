@@ -6,19 +6,22 @@
 // observation on (events captured, a time-series row every N cycles), so
 // its digest also pins the obs aggregates: the core.stage.* counters and
 // the event stream. filter=static lines run the two-phase
-// profile-then-measure flow, as runlab (ppf_batch, bench_tournament) does.
+// profile-then-measure flow, profiled on the name's first program, as
+// every run of a config does (ppf_sim, ppf_batch, bench_tournament, the
+// daemon). A mix name (bench=A+B/SLICE) is a trace like any other.
 //
 // Each line runs twice and must give its pinned digest both times:
-//   1. cold: runlab::execute_job, i.e. Simulator::run over the streaming
-//      generator (stream-mode decode);
+//   1. cold: runlab::execute_job, i.e. sim::run_benchmark over the
+//      streaming generator (stream-mode decode);
 //   2. the whole corpus once through runlab::run_jobs with one shared
 //      ExecCache: arena decode, in-place warmup, and a warmup snapshot
 //      cloned into every pair of lines that shares a warmup.
 //
 // On a mismatch the test names each failing config (paste it into
-// ppf_sim to reproduce) and the recomputed corpus written next to this
-// binary. After an intended behaviour change, re-pin by copying that file
-// over tests/golden/corpus.txt.
+// ppf_sim to reproduce, filter=static and mix lines included) and the
+// recomputed corpus written next to this binary. After an intended
+// behaviour change, re-pin by copying that file over
+// tests/golden/corpus.txt.
 #include <gtest/gtest.h>
 
 #include <fstream>

@@ -4,7 +4,9 @@
 // filter keeps learning.
 #include <gtest/gtest.h>
 
+#include "diff/signature.hpp"
 #include "filter/static_filter.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/interleaved.hpp"
@@ -47,6 +49,13 @@ TEST(Phases, DynamicFilterPolicesBothProgramsFrozenProfileOnlyOne) {
   Simulator s1(cfg);
   const SimResult stat = s1.run(*mix1, &frozen);
 
+  // The mix's name runs the same flow: filter=static profiles its first
+  // program.
+  SimConfig named = mix_cfg();
+  named.filter = "static";
+  EXPECT_EQ(diff::result_signature(run_benchmark(named, "em3d+mcf/50000")),
+            diff::result_signature(stat));
+
   // Dynamic PA filter on the same mix.
   cfg.filter = "pa";
   auto mix2 = make_mix(42);
@@ -62,6 +71,16 @@ TEST(Phases, DynamicFilterPolicesBothProgramsFrozenProfileOnlyOne) {
   // The dynamic filter rejects candidates from both programs.
   EXPECT_GT(stat.filter_rejected, 0u);
   EXPECT_GT(dyn.filter_rejected, 0u);
+}
+
+TEST(Phases, MixNameBuildsTheHandBuiltMix) {
+  // Program i on workload seed 42 + i, switching every 50000
+  // instructions: three switches and part of a fourth slice.
+  auto named = workload::make_benchmark("em3d+mcf/50000", 42);
+  auto built = make_mix(42);
+  EXPECT_EQ(workload::collect(*named, 160'000),
+            workload::collect(*built, 160'000));
+  EXPECT_STREQ(named->name(), built->name());
 }
 
 TEST(Phases, InterleavedRunSatisfiesAccountingInvariants) {

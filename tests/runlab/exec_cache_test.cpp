@@ -11,6 +11,7 @@
 // job reads it twice itself) or by an undeclared job.
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +233,53 @@ TEST(ExecCacheTraces, StaticJobsReadTheSharedArena) {
     EXPECT_EQ(st.trace_hits, 1u) << bench;
     EXPECT_EQ(st.snapshot_builds, 0u) << bench;
   }
+}
+
+TEST(ExecCacheTraces, StaticMixStreamsAndCountsAlikeAtAnyWorkerCount) {
+  // A mix is one trace to the cache: its none and pc jobs read one
+  // arena. The static mix profiles program A, a trace other than the
+  // mix it measures, so it declares no reads and streams both phases.
+  std::vector<Job> jobs;
+  for (const char* filter : {"none", "pc", "static"}) {
+    Job job = cached_job("em3d+gzip/5000", 3, 20'000, 5'000);
+    job.index = jobs.size();
+    job.config.filter = filter;
+    job.filter_name = filter;
+    jobs.push_back(job);
+  }
+  const Job& static_mix = jobs[2];
+  {
+    ExecCache cache;  // undeclared, as a serve request is
+    EXPECT_EQ(diff::result_signature(cache.execute(static_mix)),
+              diff::result_signature(execute_job(static_mix)));
+    EXPECT_EQ(cache.stats().trace_builds, 0u);
+  }
+  const auto run = [&](std::size_t workers) {
+    ExecCache cache;
+    RunOptions opts = with_workers(workers);
+    opts.cache = &cache;
+    const RunReport rep = run_jobs(jobs, opts);
+    EXPECT_EQ(rep.telemetry.failed_jobs, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(diff::result_signature(rep.results[i].result),
+                diff::result_signature(execute_job(jobs[i])))
+          << jobs[i].filter_name;
+    }
+    return std::make_pair(to_json(rep), cache.stats());
+  };
+  const auto [json1, st1] = run(1);
+  const auto [json8, st8] = run(8);
+  EXPECT_EQ(json1, json8);
+  EXPECT_EQ(st1.trace_builds, 1u);
+  EXPECT_EQ(st1.trace_hits, 1u);
+  EXPECT_EQ(st8.trace_builds, st1.trace_builds);
+  EXPECT_EQ(st8.trace_hits, st1.trace_hits);
+  EXPECT_EQ(st8.trace_evictions, st1.trace_evictions);
+  EXPECT_EQ(st8.snapshot_builds, st1.snapshot_builds);
+  EXPECT_EQ(st8.snapshot_hits, st1.snapshot_hits);
+  EXPECT_EQ(st8.snapshot_resumes, st1.snapshot_resumes);
+  EXPECT_EQ(st8.trace_bytes, st1.trace_bytes);
+  EXPECT_EQ(st8.snapshot_bytes, st1.snapshot_bytes);
 }
 
 TEST(ExecCacheSnapshots, KeyDeclaredOnceWarmsUpInPlace) {

@@ -122,6 +122,8 @@ TEST(MakeJob, RejectsMalformedAndUnknownConfigs) {
   EXPECT_THROW(service.make_job("filter=pc"), std::invalid_argument);
   EXPECT_THROW(service.make_job("bench=no-such-benchmark"),
                std::invalid_argument);
+  EXPECT_THROW(service.make_job("bench=mcf+nope/10"), std::invalid_argument);
+  EXPECT_THROW(service.make_job("bench=em3d+gzip/0"), std::invalid_argument);
   EXPECT_THROW(service.make_job("bench=mcf no_such_knob=1"),
                std::invalid_argument);
   // obs= is a CLI *driver* key (sink wiring), not a machine override —
@@ -203,6 +205,31 @@ TEST(Service, RepeatRunsAreServedFromMemoByteIdentically) {
   EXPECT_EQ(counter_value(service, "serve.memo_hits"), 1u);
   EXPECT_EQ(counter_value(service, "serve.memo_misses"), 1u);
   EXPECT_EQ(counter_value(service, "serve.admitted"), 1u);
+}
+
+TEST(Service, MixRunsAreAnsweredAndMemoized) {
+  Service service(tiny_service_config());
+  const std::string mix =
+      "bench=em3d+gzip/5000 filter=static instructions=20000 warmup=0";
+  const Handled first = service.handle(run_request(1, mix));
+  EXPECT_EQ(
+      first.response.rfind("{\"op\":\"result\",\"id\":1,\"cached\":0,", 0),
+      0u)
+      << first.response;
+  EXPECT_NE(first.response.find("\"ok\":true,\"metrics\":{"),
+            std::string::npos);
+  const Handled second = service.handle(run_request(2, mix));
+  EXPECT_EQ(
+      second.response.rfind("{\"op\":\"result\",\"id\":2,\"cached\":1,", 0),
+      0u)
+      << second.response;
+  EXPECT_EQ(body_of(second.response), body_of(first.response));
+  EXPECT_EQ(counter_value(service, "serve.memo_hits"), 1u);
+
+  const Handled bad = service.handle(run_request(3, "bench=mcf+nope/10"));
+  EXPECT_NE(bad.response.find("\"code\":\"bad_config\""), std::string::npos);
+  EXPECT_NE(bad.response.find("nope"), std::string::npos) << bad.response;
+  EXPECT_EQ(counter_value(service, "serve.bad_configs"), 1u);
 }
 
 TEST(Service, FailedArenaBuildDoesNotPoisonItsTrace) {

@@ -33,7 +33,9 @@ TEST(Experiment, ScenariosUseTheThreeFilters) {
 }
 
 TEST(Experiment, StaticFilterRunsTwoPhases) {
-  const SimResult r = run_static_filter(tiny_cfg(), "em3d");
+  SimConfig cfg = tiny_cfg();
+  cfg.filter = "static";
+  const SimResult r = run_benchmark(cfg, "em3d");
   EXPECT_EQ(r.filter_name, "static");
   // The frozen profile must actually reject something on em3d, whose
   // prefetches are mostly ineffective.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ppf::workload {
@@ -56,6 +57,73 @@ TEST(Benchmarks, TableTwoListsTenPrograms) {
 TEST(Benchmarks, UnknownNameThrows) {
   EXPECT_THROW(make_benchmark("spectral_norm", 1), std::invalid_argument);
   EXPECT_THROW(paper_miss_rates("nope"), std::invalid_argument);
+}
+
+/// The message a bad name throws, after checking that the name check
+/// and the factory reject it alike.
+std::string name_error(const std::string& name) {
+  EXPECT_THROW(make_benchmark(name, 1), std::invalid_argument) << name;
+  try {
+    (void)parse_benchmark_name(name);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << name << " parsed";
+  return "";
+}
+
+TEST(BenchmarkNames, OneProgramNamesItself) {
+  const BenchmarkName n = parse_benchmark_name("gcc");
+  EXPECT_EQ(n.programs, std::vector<std::string>{"gcc"});
+  EXPECT_EQ(n.slice, 0u);
+  EXPECT_STREQ(make_benchmark("gcc", 1)->name(), "gcc");
+}
+
+TEST(BenchmarkNames, MixNamesItsProgramsAndSlice) {
+  const BenchmarkName n = parse_benchmark_name("em3d+gzip+mcf/100000");
+  EXPECT_EQ(n.programs, (std::vector<std::string>{"em3d", "gzip", "mcf"}));
+  EXPECT_EQ(n.slice, 100'000u);
+  EXPECT_STREQ(make_benchmark("em3d+gzip/7", 1)->name(),
+               "interleaved(em3d+gzip)");
+  std::string eight = "bh";
+  for (std::size_t i = 1; i < kMaxMixPrograms; ++i) eight += "+bh";
+  EXPECT_EQ(parse_benchmark_name(eight + "/1").programs.size(),
+            kMaxMixPrograms);
+}
+
+TEST(BenchmarkNames, MixWithoutSliceIsRejected) {
+  EXPECT_EQ(name_error("em3d+gzip"),
+            "mix 'em3d+gzip': no /SLICE after its programs");
+}
+
+TEST(BenchmarkNames, ZeroSliceIsRejected) {
+  EXPECT_EQ(name_error("em3d+gzip/0"),
+            "mix 'em3d+gzip/0': slice '0' is not a positive decimal "
+            "integer without a leading zero");
+}
+
+TEST(BenchmarkNames, SliceWithLeadingZeroIsRejected) {
+  // One trace, one name: 0100 would be a second spelling of 100.
+  EXPECT_EQ(name_error("em3d+gzip/0100"),
+            "mix 'em3d+gzip/0100': slice '0100' is not a positive decimal "
+            "integer without a leading zero");
+}
+
+TEST(BenchmarkNames, OneProgramMixIsRejected) {
+  EXPECT_EQ(name_error("mcf/100"),
+            "mix 'mcf/100': 1 program(s); a mix runs 2 to 8");
+}
+
+TEST(BenchmarkNames, NineProgramMixIsRejected) {
+  EXPECT_EQ(name_error("bh+bh+bh+bh+bh+bh+bh+bh+bh/100"),
+            "mix 'bh+bh+bh+bh+bh+bh+bh+bh+bh/100': 9 program(s); a mix runs "
+            "2 to 8");
+}
+
+TEST(BenchmarkNames, UnknownProgramInAMixIsRejected) {
+  EXPECT_EQ(name_error("mcf+nope/10"),
+            "mix 'mcf+nope/10': unknown benchmark: nope");
+  EXPECT_EQ(name_error("nope"), "unknown benchmark: nope");
 }
 
 TEST(Benchmarks, PaperMissRatesMatchTableTwo) {

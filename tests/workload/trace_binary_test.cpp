@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "workload/benchmarks.hpp"
+#include "workload/materialized.hpp"
 
 namespace ppf::workload {
 namespace {
@@ -128,6 +130,43 @@ TEST(BinaryTrace, PreservesFlags) {
   EXPECT_TRUE(loaded[0].serial);
   EXPECT_TRUE(loaded[1].taken);
   EXPECT_EQ(loaded[1].target, 0x400020u);
+}
+
+TEST(OpenTrace, EitherFormatMaterializesToTheSameColumns) {
+  // open_trace picks the reader from the first bytes: the same records,
+  // captured as text and as ppfb, must come back as identical arenas.
+  auto gen = make_benchmark("ijpeg", 4);
+  const std::vector<TraceRecord> records = collect(*gen, 5000);
+  std::stringstream text, binary;
+  write_trace(text, records);
+  write_trace_binary(binary, records);
+  const auto from_text = materialize(*open_trace(text, "capture"), 6000);
+  const auto from_binary = materialize(*open_trace(binary, "capture"), 6000);
+  ASSERT_EQ(from_text->size(), records.size());
+  ASSERT_EQ(from_binary->size(), records.size());
+  EXPECT_EQ(from_text->name(), "capture");
+  EXPECT_EQ(from_binary->name(), "capture");
+  const ColumnView a = from_text->view();
+  const ColumnView b = from_binary->view();
+  const std::size_t n = records.size();
+  EXPECT_TRUE(std::equal(a.pc, a.pc + n, b.pc));
+  EXPECT_TRUE(std::equal(a.addr, a.addr + n, b.addr));
+  EXPECT_TRUE(std::equal(a.target, a.target + n, b.target));
+  EXPECT_TRUE(std::equal(a.op, a.op + n, b.op));
+  EXPECT_TRUE(std::equal(a.dst, a.dst + n, b.dst));
+  EXPECT_TRUE(std::equal(a.src1, a.src1 + n, b.src1));
+  EXPECT_TRUE(std::equal(a.src2, a.src2 + n, b.src2));
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(a.get(i), records[i]) << i;
+}
+
+TEST(OpenTrace, AnythingButTheMagicIsReadAsText) {
+  std::stringstream short_binary("ppfb");
+  try {
+    (void)open_trace(short_binary, "x");
+    FAIL() << "a 4-byte stream opened";
+  } catch (const TraceFormatError& e) {
+    EXPECT_STREQ(e.what(), "not a ppftrace v2 stream");
+  }
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [key=value ...]\n\n"
       << "sweep keys:\n"
-      << "  bench=a,b,...   — benchmarks to run, or 'all' (default all)\n"
+      << "  bench=a,b,...   — benchmarks or mixes (A+B[+...]/SLICE) to run, "
+         "or 'all' (default all)\n"
       << "  filter=a,b,...  — filter registry keys (default none,pa,pc)\n"
       << "  seeds=N         — N seeds: base seed, base+1, ... (default 1)\n"
       << "  seed_list=a,b   — explicit seed values (overrides seeds=)\n"
@@ -83,7 +84,10 @@ int usage(const char* argv0) {
   for (const std::string& n : workload::benchmark_names()) {
     std::cerr << " " << n;
   }
-  std::cerr << "\n\nmachine keys:\n";
+  std::cerr << "\n  or a mix of 2 to " << workload::kMaxMixPrograms
+            << " of them, A+B[+...]/SLICE, switching every SLICE "
+               "instructions (filter=static profiles A)\n"
+            << "\nmachine keys:\n";
   sim::print_override_keys(std::cerr);
   return 2;
 }

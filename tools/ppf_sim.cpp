@@ -1,10 +1,11 @@
 // ppf_sim — the standalone simulator driver.
 //
-// Runs one workload (a named Table 2 benchmark or a captured .ppftrace
-// file) on a fully configurable machine and prints the complete result,
-// optionally as CSV for scripting.
+// Runs one workload (a named Table 2 benchmark, a mix of them, or a
+// captured ppftrace/ppfb file) on a fully configurable machine and
+// prints the complete result, optionally as CSV for scripting.
 //
 //   ppf_sim bench=mcf filter=pc instructions=2000000
+//   ppf_sim bench=em3d+gzip/100000 filter=static
 //   ppf_sim trace=/tmp/app.ppftrace filter=pa csv=1
 //   ppf_sim bench=mcf filter=pc trace_out=trace.json timeseries_out=ts.json
 //   ppf_sim help=1
@@ -16,9 +17,10 @@
 #include "common/config.hpp"
 #include "obs/export.hpp"
 #include "sim/config_apply.hpp"
+#include "sim/experiment.hpp"
 #include "sim/report.hpp"
-#include "sim/simulator.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/trace_binary.hpp"
 
 using namespace ppf;
 
@@ -40,7 +42,11 @@ int usage(const char* argv0) {
   for (const std::string& n : workload::benchmark_names()) {
     std::cerr << " " << n;
   }
-  std::cerr << "\n\nmachine keys:\n";
+  std::cerr << "\n  or a mix of 2 to " << workload::kMaxMixPrograms
+            << " of them, A+B[+...]/SLICE, switching every SLICE "
+               "instructions (filter=static profiles A)\n"
+            << "trace=FILE reads a ppftrace text or ppfb binary capture\n"
+            << "\nmachine keys:\n";
   sim::print_override_keys(std::cerr);
   return 2;
 }
@@ -113,15 +119,14 @@ int main(int argc, char** argv) {
   std::ifstream trace_file;
   std::unique_ptr<workload::TraceSource> source;
   if (!trace_path.empty()) {
-    trace_file.open(trace_path);
+    trace_file.open(trace_path, std::ios::binary);
     if (!trace_file) {
       std::cerr << "cannot open trace file: " << trace_path << "\n";
       return 1;
     }
     try {
       // Records are parsed as the core fetches them.
-      source = std::make_unique<workload::TextTraceReader>(trace_file,
-                                                           trace_path);
+      source = workload::open_trace(trace_file, trace_path);
     } catch (const std::exception& e) {
       std::cerr << "bad trace file: " << e.what() << "\n";
       return 1;
@@ -129,7 +134,7 @@ int main(int argc, char** argv) {
     cfg.warmup_instructions = 0;  // finite traces: measure everything
   } else {
     try {
-      source = workload::make_benchmark(bench, cfg.seed);
+      (void)workload::parse_benchmark_name(bench);
     } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return usage(argv[0]);
@@ -140,7 +145,8 @@ int main(int argc, char** argv) {
   try {
     // One run reuses neither a trace arena nor a warmup snapshot, so the
     // trace streams: memory stays flat however long the run.
-    r = sim::Simulator(cfg).run(*source);
+    r = source != nullptr ? sim::Simulator(cfg).run(*source)
+                          : sim::run_benchmark(cfg, bench);
   } catch (const check::CheckViolation& v) {
     // check=final/paranoid found corrupted machine state: report the
     // structured failure (component path, invariant ID, cycle) and fail
