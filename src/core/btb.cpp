@@ -22,7 +22,7 @@ std::optional<Addr> Btb::lookup(Pc pc) {
   lookups_.add();
   Entry* base = &entries_[set_of(pc) * cfg_.ways];
   for (std::size_t w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == pc) {
+    if (base[w].valid() && base[w].tag == pc) {
       base[w].last_use = ++stamp_;
       hits_.add();
       return base[w].target;
@@ -35,17 +35,16 @@ void Btb::update(Pc pc, Addr target) {
   Entry* base = &entries_[set_of(pc) * cfg_.ways];
   Entry* victim = &base[0];
   for (std::size_t w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == pc) {
+    if (base[w].valid() && base[w].tag == pc) {
       victim = &base[w];
       break;
     }
-    if (!base[w].valid) {
+    if (!base[w].valid()) {
       victim = &base[w];
       break;
     }
     if (base[w].last_use < victim->last_use) victim = &base[w];
   }
-  victim->valid = true;
   victim->tag = pc;
   victim->target = target;
   victim->last_use = ++stamp_;

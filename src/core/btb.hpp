@@ -32,12 +32,15 @@ class Btb {
   [[nodiscard]] std::uint64_t hits() const { return hits_.value(); }
 
  private:
+  /// Stamps start at 1, so `last_use != 0` marks a valid entry.
   struct Entry {
-    bool valid = false;
     Pc tag = 0;
     Addr target = 0;
     std::uint64_t last_use = 0;
+
+    [[nodiscard]] bool valid() const { return last_use != 0; }
   };
+  static_assert(sizeof(Entry) == 24);
 
   [[nodiscard]] std::size_t set_of(Pc pc) const;
 

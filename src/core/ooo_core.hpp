@@ -539,13 +539,13 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
         break;
       case workload::InstKind::SwPrefetch:
         ++res_.sw_prefetches;
-        mem_->software_prefetch(now_, pc, view_.addr[idx_]);
+        mem_->software_prefetch(now_, pc, view_.operand[idx_]);
         e.done = done;
         break;
       case workload::InstKind::Branch: {
         ++res_.branches;
         const bool taken = (view_.op[idx_] & workload::kOpTaken) != 0;
-        const Addr target = view_.target[idx_];
+        const Addr target = view_.operand[idx_];
         const bool pred_taken = bp_.predict(pc);
         const auto pred_target = btb_.lookup(pc);
         bool correct = pred_taken == taken;
@@ -573,7 +573,7 @@ bool OooCore<Mem>::cycle(std::uint64_t limit) {
           ++res_.stores;
         else
           ++res_.loads;
-        const PendingMem pm{seq, pc, view_.addr[idx_], is_store};
+        const PendingMem pm{seq, pc, view_.operand[idx_], is_store};
         if ((view_.op[idx_] & workload::kOpSerial) != 0) {
           // Pointer chase: issue in chain order, gated on the previous
           // serial load's data.

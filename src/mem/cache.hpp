@@ -76,13 +76,16 @@ struct Eviction {
   PrefetchSource source = PrefetchSource::Software;
 };
 
-/// Per-L2-line shadow directory entry used by the SDP prefetcher.
+/// Per-L2-line shadow directory entry used by the SDP prefetcher. Every
+/// line of every cache has one and every hierarchy clone copies them, so
+/// the word comes first and the three flags share its padding.
 struct ShadowEntry {
-  bool shadow_valid = false;
   LineAddr shadow = 0;
+  bool shadow_valid = false;
   bool confirmation = false;  ///< was the shadow prefetch ever used
   bool tried = false;         ///< a prefetch of this shadow was issued
 };
+static_assert(sizeof(ShadowEntry) == 16);
 
 class Cache {
  public:

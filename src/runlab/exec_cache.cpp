@@ -85,46 +85,26 @@ void ExecCache::note_demand(const Job& job) {
   if (shares_warmup(job)) ++consumers_[snapshot_key(job)];
 }
 
-bool ExecCache::reads_arena(const Job& job) {
-  const std::string key = trace_key(job);
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = reads_.find(key);
-  if (it == reads_.end()) return true;  // undeclared: a bet on reuse
-  const std::size_t left = it->second;
-  it->second -= std::min(left, trace_reads(job));
-  if (it->second == 0) reads_.erase(it);
-  if (left >= 2) return true;
-  const auto arena = arenas_.find(key);
-  if (arena != arenas_.end() && arena->second.records >= needed_records(job)) {
-    return true;
-  }
-  // The trace's last declared read, and no arena holds it: the job
-  // streams, and gives up its claim on a warmup snapshot too.
-  if (const auto cit = consumers_.find(snapshot_key(job));
-      shares_warmup(job) && cit != consumers_.end() && --cit->second == 0) {
-    consumers_.erase(cit);
-  }
-  return false;
-}
-
 sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
-  if (!cfg_.trace_cache || is_static_mix(job) || !reads_arena(job)) {
+  const ProfClock::time_point probe_start = ProfClock::now();
+  ArenaPtr arena;
+  SnapshotPtr snap;
+  if (cfg_.trace_cache && !is_static_mix(job)) {
+    PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabProbe);
+    arena = arena_for(job);
+    if (arena != nullptr) {
+      // Only after the build: a failed one (an arena too large to
+      // allocate) must not size every later build of the trace.
+      raise_watermark(job);
+      if (shares_warmup(job)) snap = snapshot_for(job, arena);
+    }
+  }
+  if (arena == nullptr) {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
     const ProfClock::time_point t0 = ProfClock::now();
     sim::SimResult result = execute_job(job);
     if (timings != nullptr) timings->sim_ms = ms_since(t0);
     return result;
-  }
-  const ProfClock::time_point probe_start = ProfClock::now();
-  ArenaPtr arena;
-  SnapshotPtr snap;
-  {
-    PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabProbe);
-    arena = arena_for(job);
-    // Only after the build: a failed one (an arena too large to
-    // allocate) must not size every later build of the trace.
-    raise_watermark(job);
-    if (shares_warmup(job)) snap = snapshot_for(job, arena);
   }
   if (timings != nullptr) timings->probe_ms = ms_since(probe_start);
 
@@ -219,7 +199,25 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = arenas_.find(key);
-    if (it != arenas_.end() && it->second.records >= need) {
+    const bool resident = it != arenas_.end() && it->second.records >= need;
+    // An undeclared job reads an arena, a bet on reuse; a declared one
+    // takes its reads off the trace.
+    if (const auto rit = reads_.find(key); rit != reads_.end()) {
+      const std::size_t left = rit->second;
+      rit->second -= std::min(left, trace_reads(job));
+      if (rit->second == 0) reads_.erase(rit);
+      if (left < 2 && !resident) {
+        // The trace's last declared read, and no arena holds it: the job
+        // streams, and gives up its claim on a warmup snapshot too.
+        if (const auto cit = consumers_.find(snapshot_key(job));
+            shares_warmup(job) && cit != consumers_.end() &&
+            --cit->second == 0) {
+          consumers_.erase(cit);
+        }
+        return nullptr;
+      }
+    }
+    if (resident) {
       it->second.tick = ++lru_clock_;
       ++counters_.trace_hits;
       fut = it->second.fut;

@@ -18,8 +18,10 @@
 // only where it will be reused. note_demand() counts each trace key's
 // declared reads (two for a static-filter job), and execute() takes the
 // job's off: a declared job whose trace has fewer than two reads left,
-// and no resident arena, streams its generator. A job that was never
-// declared reads a speculative arena.
+// and no arena resident or being built, streams its generator. Taking
+// the reads and claiming a build are one step under the lock, so a job
+// that decides later sees the arena an earlier one is building. A job
+// that was never declared reads a speculative arena.
 //
 // A snapshot costs a warmup plus a deep copy of the machine per resume,
 // and stays resident; warming up in place costs only the warmup. So a
@@ -156,14 +158,13 @@ class ExecCache {
   static bool is_static_mix(const Job& job);
   /// Times `job` reads its trace.
   static std::size_t trace_reads(const Job& job);
-  /// Take `job`'s declared reads off its trace key; false when the job
-  /// should stream its generator instead of reading an arena.
-  bool reads_arena(const Job& job);
   /// Whether `job` may resume from (or build) a warmup snapshot.
   [[nodiscard]] bool shares_warmup(const Job& job) const;
   /// Raise the arena-size watermark of `job`'s trace to its need.
   void raise_watermark(const Job& job);
 
+  /// The arena `job` reads, shared or built; null when the job should
+  /// stream its generator instead (the rule in the file comment).
   ArenaPtr arena_for(const Job& job);
   SnapshotPtr snapshot_for(const Job& job, const ArenaPtr& arena);
 

@@ -43,12 +43,8 @@ std::size_t InterleavedTrace::next_batch(TraceColumns out, std::size_t n) {
     const Addr tag = static_cast<Addr>(current_) << kAsidShift;
     for (std::size_t i = 0; i < read; ++i) {
       slice.pc[i] |= tag;
-      const InstKind kind = op_kind(slice.op[i]);
-      if (kind == InstKind::Load || kind == InstKind::Store ||
-          kind == InstKind::SwPrefetch) {
-        slice.addr[i] |= tag;
-      }
-      if (kind == InstKind::Branch) slice.target[i] |= tag;
+      // An address or a branch target; an Op's operand stays 0.
+      if (op_kind(slice.op[i]) != InstKind::Op) slice.operand[i] |= tag;
     }
     got += read;
     issued_in_slice_ += read;

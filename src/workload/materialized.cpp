@@ -21,9 +21,8 @@ MaterializedTrace::MaterializedTrace(TraceSource& src, std::size_t count)
 void MaterializedTrace::allocate(std::size_t n) {
   for (auto& w : words_) w = std::make_unique_for_overwrite<std::uint64_t[]>(n);
   for (auto& b : bytes_) b = std::make_unique_for_overwrite<std::uint8_t[]>(n);
-  cols_ = TraceColumns{words_[0].get(), words_[1].get(), words_[2].get(),
-                       bytes_[0].get(), bytes_[1].get(), bytes_[2].get(),
-                       bytes_[3].get()};
+  cols_ = TraceColumns{words_[0].get(), words_[1].get(), bytes_[0].get(),
+                       bytes_[1].get(), bytes_[2].get(), bytes_[3].get()};
 }
 
 bool MaterializedTrace::extends(const MaterializedTrace& prefix) const {

@@ -3,12 +3,13 @@
 // A runlab sweep runs many jobs over the *same* (benchmark, seed) trace —
 // one per filter variant, per config variant. Streaming pays generation
 // once per job; a MaterializedTrace pays it once, straight into the
-// structure-of-arrays columns every bulk read fills (TraceColumns: 28
-// bytes per record instead of a 40-byte TraceRecord), and hands every job
-// a cheap TraceCursor view over the shared immutable buffer. Cursors are
-// seekable, which is what makes warmup-snapshot reuse possible at all:
-// a cloned post-warmup core must resume mid-trace, and the synthetic
-// generators cannot seek.
+// structure-of-arrays columns every bulk read fills (TraceColumns: six
+// columns, 20 bytes per record instead of a 40-byte TraceRecord, since
+// one operand word holds a record's address or its branch target), and
+// hands every job a cheap TraceCursor view over the shared immutable
+// buffer. Cursors are seekable, which is what makes warmup-snapshot reuse
+// possible at all: a cloned post-warmup core must resume mid-trace, and
+// the synthetic generators cannot seek.
 #pragma once
 
 #include <array>
@@ -52,7 +53,7 @@ class MaterializedTrace {
   void allocate(std::size_t n);
 
   std::string name_;
-  std::array<std::unique_ptr<std::uint64_t[]>, 3> words_;  ///< pc/addr/target
+  std::array<std::unique_ptr<std::uint64_t[]>, 2> words_;  ///< pc/operand
   std::array<std::unique_ptr<std::uint8_t[]>, 4> bytes_;  ///< op/dst/src1/src2
   TraceColumns cols_;
   std::size_t size_ = 0;

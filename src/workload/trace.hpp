@@ -73,37 +73,46 @@ inline InstKind op_kind(std::uint8_t op) {
   return static_cast<InstKind>(op & kOpKindMask);
 }
 
+/// Whether records of this kind carry an effective address.
+inline bool has_address(InstKind k) {
+  return k == InstKind::Load || k == InstKind::Store ||
+         k == InstKind::SwPrefetch;
+}
+
 /// Spans over records in structure-of-arrays layout: record i is (pc[i],
-/// op[i], addr[i], ...). It is the layout of a MaterializedTrace and of
-/// every bulk read, from the generator to the cores. ColumnView is the
-/// read-only form; `cols + n` is the same columns from record n on.
+/// op[i], operand[i], ...). It is the layout of a MaterializedTrace and of
+/// every bulk read, from the generator to the cores. No record has both
+/// an address and a target, so one operand word holds whichever its kind
+/// uses; put() drops the other, as the ppfb format does. ColumnView is
+/// the read-only form; `cols + n` is the same columns from record n on.
 template <typename Word, typename Byte>
 struct BasicColumns {
   Word* pc = nullptr;
-  Word* addr = nullptr;    ///< effective address (Load/Store/SwPrefetch)
-  Word* target = nullptr;  ///< branch target
-  Byte* op = nullptr;      ///< kind | kOpTaken | kOpSerial
+  /// Load/Store/SwPrefetch: the effective address; Branch: the target;
+  /// Op: 0.
+  Word* operand = nullptr;
+  Byte* op = nullptr;  ///< kind | kOpTaken | kOpSerial
   Byte* dst = nullptr;
   Byte* src1 = nullptr;
   Byte* src2 = nullptr;
 
   /// Bytes one record takes across the columns above.
   static constexpr std::size_t kRecordBytes =
-      3 * sizeof(Word) + 4 * sizeof(Byte);
+      2 * sizeof(Word) + 4 * sizeof(Byte);
 
   BasicColumns operator+(std::size_t n) const {
-    return {pc + n, addr + n, target + n, op + n, dst + n, src1 + n, src2 + n};
+    return {pc + n, operand + n, op + n, dst + n, src1 + n, src2 + n};
   }
   operator BasicColumns<const Word, const Byte>() const {
-    return {pc, addr, target, op, dst, src1, src2};
+    return {pc, operand, op, dst, src1, src2};
   }
 
   [[nodiscard]] TraceRecord get(std::size_t i) const {
     TraceRecord r;
     r.pc = pc[i];
     r.kind = op_kind(op[i]);
-    r.addr = addr[i];
-    r.target = target[i];
+    if (has_address(r.kind)) r.addr = operand[i];
+    if (r.kind == InstKind::Branch) r.target = operand[i];
     r.taken = (op[i] & kOpTaken) != 0;
     r.serial = (op[i] & kOpSerial) != 0;
     r.dst = dst[i];
@@ -116,8 +125,9 @@ struct BasicColumns {
     op[i] = static_cast<std::uint8_t>(static_cast<unsigned>(r.kind) |
                                       (r.taken ? kOpTaken : 0u) |
                                       (r.serial ? kOpSerial : 0u));
-    addr[i] = r.addr;
-    target[i] = r.target;
+    operand[i] = has_address(r.kind)            ? r.addr
+                 : r.kind == InstKind::Branch ? r.target
+                                              : 0;
     dst[i] = r.dst;
     src1[i] = r.src1;
     src2[i] = r.src2;
@@ -125,12 +135,13 @@ struct BasicColumns {
 };
 using TraceColumns = BasicColumns<std::uint64_t, std::uint8_t>;
 using ColumnView = BasicColumns<const std::uint64_t, const std::uint8_t>;
+static_assert(TraceColumns::kRecordBytes == 20,
+              "a record is two words and four bytes");
 
 /// Copy records [0, n) of `from` to `to`, column by column.
 inline void copy_columns(ColumnView from, TraceColumns to, std::size_t n) {
   std::copy_n(from.pc, n, to.pc);
-  std::copy_n(from.addr, n, to.addr);
-  std::copy_n(from.target, n, to.target);
+  std::copy_n(from.operand, n, to.operand);
   std::copy_n(from.op, n, to.op);
   std::copy_n(from.dst, n, to.dst);
   std::copy_n(from.src1, n, to.src1);
@@ -141,12 +152,12 @@ inline void copy_columns(ColumnView from, TraceColumns to, std::size_t n) {
 /// generator's pending block, one-record reads.
 template <std::size_t N>
 struct ColumnBuffer {
-  std::array<std::uint64_t, N> pc, addr, target;
+  std::array<std::uint64_t, N> pc, operand;
   std::array<std::uint8_t, N> op, dst, src1, src2;
 
   TraceColumns columns() {
-    return {pc.data(),  addr.data(), target.data(), op.data(),
-            dst.data(), src1.data(), src2.data()};
+    return {pc.data(),  operand.data(), op.data(),
+            dst.data(), src1.data(),    src2.data()};
   }
 };
 

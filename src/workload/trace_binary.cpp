@@ -11,11 +11,6 @@ namespace {
 
 constexpr char kMagic[8] = {'p', 'p', 'f', 'b', 't', 'r', '0', '2'};
 
-bool is_mem_kind(InstKind k) {
-  return k == InstKind::Load || k == InstKind::Store ||
-         k == InstKind::SwPrefetch;
-}
-
 }  // namespace
 
 std::uint64_t zigzag_encode(std::int64_t v) {
@@ -72,7 +67,7 @@ void write_trace_binary(std::ostream& os,
       os.put(static_cast<char>(r.src1));
       os.put(static_cast<char>(r.src2));
     }
-    if (is_mem_kind(r.kind)) {
+    if (has_address(r.kind)) {
       put_varint(os,
                  zigzag_encode(static_cast<std::int64_t>(r.addr - prev_addr)));
       prev_addr = r.addr;
@@ -118,7 +113,7 @@ TraceRecord BinaryTraceReader::read_record() {
     r.src1 = static_cast<std::uint8_t>(s1 & 0x1F);
     r.src2 = static_cast<std::uint8_t>(s2 & 0x1F);
   }
-  if (is_mem_kind(r.kind)) {
+  if (has_address(r.kind)) {
     r.addr = prev_addr_ + static_cast<Addr>(zigzag_decode(get_varint(is_)));
     prev_addr_ = r.addr;
   } else if (r.kind == InstKind::Branch) {

@@ -242,14 +242,14 @@ INSTANTIATE_TEST_SUITE_P(AllTen, BenchmarkMix,
 /// Columns of `n` records in plain vectors.
 struct OwnedColumns {
   explicit OwnedColumns(std::size_t n)
-      : pc(n), addr(n), target(n), op(n), dst(n), src1(n), src2(n) {}
+      : pc(n), operand(n), op(n), dst(n), src1(n), src2(n) {}
   TraceColumns columns() {
-    return {pc.data(),  addr.data(), target.data(), op.data(),
-            dst.data(), src1.data(), src2.data()};
+    return {pc.data(),  operand.data(), op.data(),
+            dst.data(), src1.data(),    src2.data()};
   }
   bool operator==(const OwnedColumns&) const = default;
 
-  std::vector<std::uint64_t> pc, addr, target;
+  std::vector<std::uint64_t> pc, operand;
   std::vector<std::uint8_t> op, dst, src1, src2;
 };
 

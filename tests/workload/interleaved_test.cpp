@@ -85,6 +85,38 @@ TEST(Interleaved, BranchTargetsTagged) {
   EXPECT_TRUE(saw_branch);
 }
 
+TEST(Interleaved, EveryOperandOfProgramOneCarriesItsTag) {
+  // Program 1's slice, read as columns: a load's address and a branch's
+  // target both carry tag 1, and an Op's operand stays 0.
+  auto mix = make_mix(1000);
+  ColumnBuffer<1000> skip;
+  ASSERT_EQ(mix->next_batch(skip.columns(), 1000), 1000u);  // program 0
+  ColumnBuffer<1000> buf;
+  ASSERT_EQ(mix->next_batch(buf.columns(), 1000), 1000u);
+  ASSERT_EQ(mix->current_program(), 1u);
+  bool saw_load = false, saw_branch = false;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const InstKind kind = op_kind(buf.op[i]);
+    EXPECT_EQ(buf.pc[i] >> 40, 1u) << i;
+    if (kind == InstKind::Op) {
+      EXPECT_EQ(buf.operand[i], 0u) << i;
+    } else {
+      EXPECT_EQ(buf.operand[i] >> 40, 1u) << i;
+    }
+    const TraceRecord r = buf.columns().get(i);
+    if (kind == InstKind::Load) {
+      EXPECT_EQ(r.addr >> 40, 1u) << i;
+      saw_load = true;
+    }
+    if (kind == InstKind::Branch) {
+      EXPECT_EQ(r.target >> 40, 1u) << i;
+      saw_branch = true;
+    }
+  }
+  EXPECT_TRUE(saw_load);
+  EXPECT_TRUE(saw_branch);
+}
+
 TEST(Interleaved, SingleSourceRotatesToItself) {
   // Degenerate mix of one program: every record comes through untagged
   // (program 0), self-rotations at each interval are still counted, and

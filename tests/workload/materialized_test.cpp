@@ -28,8 +28,9 @@ std::vector<TraceRecord> make_records(std::size_t n) {
     TraceRecord& r = v[i];
     r.pc = 0x1000 + 4 * i;
     r.kind = static_cast<InstKind>(i % 5);
-    r.addr = 0x80000 + 32 * i;
-    r.target = 0x2000 + i;
+    // Only the operand the kind carries: the columns keep no other.
+    if (has_address(r.kind)) r.addr = 0x80000 + 32 * i;
+    if (r.kind == InstKind::Branch) r.target = 0x2000 + i;
     r.taken = (i % 3) == 0;
     r.serial = (i % 7) == 0;
     r.dst = static_cast<std::uint8_t>(i % 32);
@@ -64,8 +65,38 @@ TEST(MaterializedTraceTest, ShortSourceYieldsShortArena) {
 TEST(MaterializedTraceTest, BytesReflectSoaLayout) {
   VectorTrace vt(make_records(64));
   const auto arena = materialize(vt, 64);
-  // pc/addr/target words plus op/dst/src1/src2 bytes.
-  EXPECT_EQ(arena->bytes(), 64u * 28u);
+  // pc/operand words plus op/dst/src1/src2 bytes.
+  EXPECT_EQ(arena->bytes(), 64u * 20u);
+}
+
+TEST(MaterializedTraceTest, StrayOperandsAreDroppedByEveryReader) {
+  // A record keeps only the operand its kind carries: an address on a
+  // Branch or an Op, or a target on a Load, is dropped by put() and so by
+  // the text and binary readers alike (ppfb never wrote such fields).
+  std::vector<TraceRecord> stray = make_records(40);
+  for (TraceRecord& r : stray) {
+    if (r.kind == InstKind::Branch || r.kind == InstKind::Op) {
+      r.addr = 0xdead00 + r.pc;
+    }
+    if (r.kind == InstKind::Load) r.target = 0xbeef00 + r.pc;
+  }
+  const std::vector<TraceRecord> clean = make_records(40);
+  ASSERT_NE(stray, clean);
+
+  ColumnBuffer<40> put;
+  for (std::size_t i = 0; i < stray.size(); ++i) put.columns().put(i, stray[i]);
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(put.columns().get(i), clean[i]) << "put, record " << i;
+    if (clean[i].kind == InstKind::Op) {
+      EXPECT_EQ(put.operand[i], 0u) << "an Op's operand, record " << i;
+    }
+  }
+
+  std::stringstream text, binary;
+  write_trace(text, stray);
+  write_trace_binary(binary, stray);
+  EXPECT_EQ(read_trace(text), clean);
+  EXPECT_EQ(read_trace_binary(binary), clean);
 }
 
 TEST(TraceCursorTest, BatchedAndSingleReadsAgree) {
@@ -228,8 +259,8 @@ TEST(TraceCursorTest, MatchesStreamingBenchmarkGeneration) {
     const ColumnView a = arena->view();
     const ColumnView b = copy->view();
     EXPECT_TRUE(std::equal(a.pc, a.pc + kN, b.pc)) << src->name();
-    EXPECT_TRUE(std::equal(a.addr, a.addr + kN, b.addr)) << src->name();
-    EXPECT_TRUE(std::equal(a.target, a.target + kN, b.target)) << src->name();
+    EXPECT_TRUE(std::equal(a.operand, a.operand + kN, b.operand))
+        << src->name();
     EXPECT_TRUE(std::equal(a.op, a.op + kN, b.op)) << src->name();
     EXPECT_TRUE(std::equal(a.dst, a.dst + kN, b.dst)) << src->name();
     EXPECT_TRUE(std::equal(a.src1, a.src1 + kN, b.src1)) << src->name();

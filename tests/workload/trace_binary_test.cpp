@@ -150,8 +150,7 @@ TEST(OpenTrace, EitherFormatMaterializesToTheSameColumns) {
   const ColumnView b = from_binary->view();
   const std::size_t n = records.size();
   EXPECT_TRUE(std::equal(a.pc, a.pc + n, b.pc));
-  EXPECT_TRUE(std::equal(a.addr, a.addr + n, b.addr));
-  EXPECT_TRUE(std::equal(a.target, a.target + n, b.target));
+  EXPECT_TRUE(std::equal(a.operand, a.operand + n, b.operand));
   EXPECT_TRUE(std::equal(a.op, a.op + n, b.op));
   EXPECT_TRUE(std::equal(a.dst, a.dst + n, b.dst));
   EXPECT_TRUE(std::equal(a.src1, a.src1 + n, b.src1));

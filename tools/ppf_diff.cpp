@@ -20,6 +20,7 @@
 
 #include "common/config.hpp"
 #include "diff/diff.hpp"
+#include "workload/benchmarks.hpp"
 
 using namespace ppf;
 
@@ -114,6 +115,10 @@ int main(int argc, char** argv) {
       if (opts.sample.benchmarks.empty()) {
         std::cerr << "bench= needs at least one name\n\n";
         return usage(argv[0]);
+      }
+      // A bad name is a usage error, not a failure of every oracle.
+      for (const std::string& name : opts.sample.benchmarks) {
+        (void)workload::parse_benchmark_name(name);
       }
     }
     if (params.has("instructions")) {
