@@ -30,23 +30,36 @@ T get_parsed(const std::map<std::string, std::string>& entries,
 
 ParamMap ParamMap::from_args(int argc, const char* const* argv) {
   ParamMap p;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view tok(argv[i]);
-    const auto eq = tok.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      throw std::invalid_argument("expected key=value, got '" +
-                                  std::string(tok) + "'");
-    }
-    std::string key(tok.substr(0, eq));
-    if (p.has(key)) {
-      // Letting the last duplicate win silently is how a typo'd sweep
-      // runs the wrong config; reject like unknown keys (drivers exit 2).
-      throw std::invalid_argument("duplicate key '" + key +
-                                  "': each key may be given at most once");
-    }
-    p.set(std::move(key), std::string(tok.substr(eq + 1)));
+  for (int i = 1; i < argc; ++i) p.add_token(argv[i]);
+  return p;
+}
+
+ParamMap ParamMap::from_string(std::string_view config) {
+  ParamMap p;
+  constexpr std::string_view kSpace = " \t\n\r\f\v";
+  for (std::size_t at = config.find_first_not_of(kSpace);
+       at != std::string_view::npos;) {
+    const std::size_t end = config.find_first_of(kSpace, at);
+    p.add_token(config.substr(at, end - at));
+    at = config.find_first_not_of(kSpace, end);
   }
   return p;
+}
+
+void ParamMap::add_token(std::string_view tok) {
+  const auto eq = tok.find('=');
+  if (eq == std::string_view::npos || eq == 0) {
+    throw std::invalid_argument("expected key=value, got '" +
+                                std::string(tok) + "'");
+  }
+  std::string key(tok.substr(0, eq));
+  if (has(key)) {
+    // Letting the last duplicate win silently is how a typo'd sweep
+    // runs the wrong config; reject like unknown keys (drivers exit 2).
+    throw std::invalid_argument("duplicate key '" + key +
+                                "': each key may be given at most once");
+  }
+  set(std::move(key), std::string(tok.substr(eq + 1)));
 }
 
 void ParamMap::set(std::string key, std::string value) {

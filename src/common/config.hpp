@@ -28,8 +28,12 @@ class ParamMap {
  public:
   ParamMap() = default;
 
-  /// Parse argv[1..argc); each token must look like key=value.
+  /// Parse argv[1..argc); each token must look like key=value, and no
+  /// key may appear twice.
   static ParamMap from_args(int argc, const char* const* argv);
+  /// The same rule over one whitespace-separated config string
+  /// ("bench=mcf filter=pc"), as a serve request carries it.
+  static ParamMap from_string(std::string_view config);
 
   /// Insert/overwrite one entry.
   void set(std::string key, std::string value);
@@ -48,6 +52,10 @@ class ParamMap {
   }
 
  private:
+  /// Add one key=value token; throws on a malformed token or a key
+  /// already present.
+  void add_token(std::string_view tok);
+
   std::map<std::string, std::string> entries_;
 };
 

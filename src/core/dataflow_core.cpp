@@ -6,26 +6,9 @@
 #include "common/assert.hpp"
 
 namespace ppf::core {
-namespace {
-
-unsigned shift_of(unsigned bytes) {
-  unsigned s = 0;
-  for (unsigned v = bytes; v > 1; v >>= 1) ++s;
-  return s;
-}
-
-}  // namespace
 
 DataflowCore::DataflowCore(CoreConfig cfg, DataMemory& dmem, InstMemory& imem)
-    : cfg_(cfg),
-      dmem_(&dmem),
-      imem_(&imem),
-      bp_(cfg.bimodal),
-      btb_(cfg.btb),
-      line_shift_(shift_of(cfg.ifetch_line_bytes)) {
-  PPF_CHECK(cfg_.width >= 1);
-  PPF_CHECK(cfg_.rob_entries >= cfg_.width);
-  PPF_CHECK(cfg_.lsq_entries >= 1);
+    : Pipeline(cfg), dmem_(&dmem), imem_(&imem) {
   rob_.resize(cfg_.rob_entries);
 }
 
@@ -34,13 +17,7 @@ DataflowCore::DataflowCore(const DataflowCore& other, DataMemory& dmem,
     : DataflowCore(other) {
   dmem_ = &dmem;
   imem_ = &imem;
-  set_heartbeat(nullptr);  // the caller rewires it per clone
-  // `trace` may hold more records than other's did (a snapshot resumed
-  // over a regrown arena), so end of trace is found again by reading it,
-  // not inherited. The record sequence is the same either way.
-  trace_ = &trace;
-  window_.eof = false;
-  if (win_pos_ >= window_.len) refill();
+  rebind(trace);
 }
 
 std::unique_ptr<CoreEngine> DataflowCore::clone_rebound(
@@ -150,261 +127,119 @@ DataflowCore::RegState DataflowCore::read_src(std::uint8_t r) const {
   return regs_[r];
 }
 
-void DataflowCore::refill() {
-  window_.refill(*trace_);
-  win_pos_ = 0;
+void DataflowCore::open_cycle() {
+  dmem_->begin_cycle(now_);
+  retire(now_);
+  issue_ready_mem(now_);
 }
 
-void DataflowCore::advance() {
-  ++win_pos_;
-  if (win_pos_ >= window_.len && !window_.eof) refill();
-}
+void DataflowCore::dispatch_one(Pc pc, std::uint8_t op,
+                                workload::InstKind kind, bool is_mem) {
+  const std::uint64_t seq = alloc_rob(is_mem);
+  const std::uint8_t dst = view_.dst[idx_];
+  const Addr addr = view_.operand[idx_];
+  const RegState s1 = read_src(view_.src1[idx_]);
+  const RegState s2 = read_src(view_.src2[idx_]);
 
-void DataflowCore::bind(workload::TraceSource& trace) {
-  trace_ = &trace;
-  window_.eof = false;
-  refill();
-  dispatched_ = 0;
-  pause_at_ = 0;
-  res_ = CoreResult{};
-  window_snapshot_ = CoreResult{};
-  window_start_ = 0;
-  now_ = 0;
-  cycle_limit_ = 0;
-  fetch_ready_ = 0;
-  cur_fetch_line_ = std::numeric_limits<Addr>::max();
-  mid_cycle_ = false;
-}
-
-void DataflowCore::begin_window() {
-  window_snapshot_ = res_;
-  window_start_ = now_;
-}
-
-bool DataflowCore::cycle(std::uint64_t limit) {
-  heartbeat_tick(dispatched_);
-  if (!mid_cycle_) {
-    cycle_trace_active_ = have_rec() && dispatched_ < limit;
-    if (!cycle_trace_active_ && rob_count_ == 0) return false;
-    PPF_CHECK_MSG(now_ < cycle_limit_, "dataflow core livelock");
-
-    dmem_->begin_cycle(now_);
-    retire(now_);
-    issue_ready_mem(now_);
-
-    was_rob_full_ = rob_full();
-    slots_ = cfg_.width;
-    lsq_blocked_ = false;
-    fetch_stalled_ = false;
-  } else {
-    mid_cycle_ = false;
-  }
-
-  while (slots_ > 0 && have_rec() && dispatched_ < limit) {
-    if (redirect_pending_ || now_ < redirect_until_ || now_ < fetch_ready_) {
-      fetch_stalled_ = true;
+  switch (kind) {
+    case workload::InstKind::Load:
+    case workload::InstKind::Store: {
+      const bool is_store = kind == workload::InstKind::Store;
+      if (is_store)
+        ++res_.stores;
+      else
+        ++res_.loads;
+      // Loads produce into dst; consumers park on this seq.
+      if (!is_store && dst != 0) {
+        regs_[dst] = RegState{0, seq};
+      }
+      if (s1.producer == kNoProducer) {
+        ready_mem_.push_back(
+            ReadyMem{seq, pc, addr, is_store, std::max(now_, s1.ready)});
+      } else {
+        waiting_mem_.push_back(
+            WaitingMem{seq, pc, addr, is_store, s1.producer, 0});
+      }
       break;
     }
-    if (rob_full()) break;
-    const workload::TraceRecord rec =
-        window_.records.columns().get(win_pos_);
-
-    const Addr line = rec.pc >> line_shift_;
-    if (line != cur_fetch_line_) {
-      const Cycle ready = imem_->fetch(now_, rec.pc);
-      cur_fetch_line_ = line;
-      if (ready > now_) {
-        fetch_ready_ = ready;
-        break;
+    case workload::InstKind::Branch: {
+      const bool correct = predict_branch(pc, op);
+      if (!correct) {
+        redirect_pending_ = true;
+        redirect_seq_ = seq;
       }
-    }
-
-    const bool is_mem = rec.kind == workload::InstKind::Load ||
-                        rec.kind == workload::InstKind::Store;
-    if (is_mem && lsq_count_ >= cfg_.lsq_entries) {
-      lsq_blocked_ = true;
+      WaitingAlu w{seq, 0, 0, now_, true, !correct};
+      if (s1.producer != kNoProducer) {
+        w.producer_seq = s1.producer;
+        w.other_ready =
+            std::max(now_, s2.producer == kNoProducer ? s2.ready : now_);
+        // A doubly-unresolved branch re-parks on s2 via complete_alu's
+        // caller; to keep it simple we conservatively wait on s1 then
+        // treat s2 as ready (second-source chains are rare for
+        // branches in our traces).
+        waiting_alu_.push_back(w);
+      } else if (s2.producer != kNoProducer) {
+        w.producer_seq = s2.producer;
+        w.other_ready = std::max(now_, s1.ready);
+        waiting_alu_.push_back(w);
+      } else {
+        complete_alu(w, std::max({now_, s1.ready, s2.ready}), now_);
+      }
       break;
     }
-
-    const std::uint64_t seq = alloc_rob(is_mem);
-    const RegState s1 = read_src(rec.src1);
-    const RegState s2 = read_src(rec.src2);
-
-    switch (rec.kind) {
-      case workload::InstKind::Load:
-      case workload::InstKind::Store: {
-        const bool is_store = rec.kind == workload::InstKind::Store;
-        if (is_store)
-          ++res_.stores;
-        else
-          ++res_.loads;
-        // Loads produce into dst; consumers park on this seq.
-        if (!is_store && rec.dst != 0) {
-          regs_[rec.dst] = RegState{0, seq};
-        }
-        if (s1.producer == kNoProducer) {
-          ready_mem_.push_back(ReadyMem{seq, rec.pc, rec.addr, is_store,
-                                        std::max(now_, s1.ready)});
-        } else {
-          waiting_mem_.push_back(
-              WaitingMem{seq, rec.pc, rec.addr, is_store, s1.producer, 0});
-        }
-        break;
+    case workload::InstKind::SwPrefetch:
+      ++res_.sw_prefetches;
+      dmem_->software_prefetch(now_, pc, addr);
+      [[fallthrough]];
+    case workload::InstKind::Op: {
+      WaitingAlu w{seq, 0, dst, now_, false, false};
+      if (s1.producer != kNoProducer) {
+        w.producer_seq = s1.producer;
+        w.other_ready =
+            std::max(now_, s2.producer == kNoProducer ? s2.ready : now_);
+        if (dst != 0) regs_[dst] = RegState{0, seq};
+        waiting_alu_.push_back(w);
+      } else if (s2.producer != kNoProducer) {
+        w.producer_seq = s2.producer;
+        w.other_ready = std::max(now_, s1.ready);
+        if (dst != 0) regs_[dst] = RegState{0, seq};
+        waiting_alu_.push_back(w);
+      } else {
+        const Cycle done =
+            std::max({now_, s1.ready, s2.ready}) + cfg_.exec_latency;
+        rob_at(seq).done = done;
+        if (dst != 0) regs_[dst] = RegState{done, kNoProducer};
       }
-      case workload::InstKind::Branch: {
-        ++res_.branches;
-        const bool pred_taken = bp_.predict(rec.pc);
-        const auto pred_target = btb_.lookup(rec.pc);
-        bool correct = pred_taken == rec.taken;
-        if (correct && rec.taken) {
-          correct = pred_target.has_value() && *pred_target == rec.target;
-        }
-        bp_.update(rec.pc, rec.taken);
-        if (rec.taken) btb_.update(rec.pc, rec.target);
-        bp_.note_outcome(correct);
-        if (!correct) {
-          ++res_.mispredictions;
-          redirect_pending_ = true;
-          redirect_seq_ = seq;
-        }
-        WaitingAlu w{seq, 0, 0, now_, true, !correct};
-        if (s1.producer != kNoProducer) {
-          w.producer_seq = s1.producer;
-          w.other_ready =
-              std::max(now_, s2.producer == kNoProducer ? s2.ready : now_);
-          // A doubly-unresolved branch re-parks on s2 via complete_alu's
-          // caller; to keep it simple we conservatively wait on s1 then
-          // treat s2 as ready (second-source chains are rare for
-          // branches in our traces).
-          waiting_alu_.push_back(w);
-        } else if (s2.producer != kNoProducer) {
-          w.producer_seq = s2.producer;
-          w.other_ready = std::max(now_, s1.ready);
-          waiting_alu_.push_back(w);
-        } else {
-          complete_alu(w, std::max({now_, s1.ready, s2.ready}), now_);
-        }
-        if (rec.taken) {
-          cur_fetch_line_ = std::numeric_limits<Addr>::max();
-        }
-        break;
-      }
-      case workload::InstKind::SwPrefetch:
-        ++res_.sw_prefetches;
-        dmem_->software_prefetch(now_, rec.pc, rec.addr);
-        [[fallthrough]];
-      case workload::InstKind::Op: {
-        WaitingAlu w{seq, 0, rec.dst, now_, false, false};
-        if (s1.producer != kNoProducer) {
-          w.producer_seq = s1.producer;
-          w.other_ready =
-              std::max(now_, s2.producer == kNoProducer ? s2.ready : now_);
-          if (rec.dst != 0) regs_[rec.dst] = RegState{0, seq};
-          waiting_alu_.push_back(w);
-        } else if (s2.producer != kNoProducer) {
-          w.producer_seq = s2.producer;
-          w.other_ready = std::max(now_, s1.ready);
-          if (rec.dst != 0) regs_[rec.dst] = RegState{0, seq};
-          waiting_alu_.push_back(w);
-        } else {
-          const Cycle done =
-              std::max({now_, s1.ready, s2.ready}) + cfg_.exec_latency;
-          rob_at(seq).done = done;
-          if (rec.dst != 0) regs_[rec.dst] = RegState{done, kNoProducer};
-        }
-        break;
-      }
+      break;
     }
-
-    ++dispatched_;
-    ++res_.instructions;
-    --slots_;
-    advance();
-    if (dispatched_ == pause_at_) {
-      // Pause exactly at the boundary, before finishing the cycle; the
-      // resumed (or cloned) core re-enters here with mid_cycle_ set.
-      mid_cycle_ = true;
-      return true;
-    }
-    if (redirect_pending_ || now_ < redirect_until_) break;
   }
-
-  if (cycle_trace_active_ && slots_ == cfg_.width) {
-    // Nothing dispatched this cycle: attribute the stall.
-    if (was_rob_full_)
-      ++res_.rob_full_stall_cycles;
-    else if (lsq_blocked_)
-      ++res_.lsq_full_stall_cycles;
-    else if (fetch_stalled_)
-      ++res_.fetch_stall_cycles;
-  }
-
-  dmem_->end_cycle(now_);
-  ++now_;
-  return true;
 }
 
-void DataflowCore::run_until_dispatched(std::uint64_t target) {
-  PPF_CHECK(trace_ != nullptr);
-  if (dispatched_ >= target) return;
-  // Livelock guard: the model must always make forward progress.
-  cycle_limit_ = now_ + (target - dispatched_ + 1024) * 512 + 10'000'000ULL;
-  pause_at_ = target;
-  while (!mid_cycle_ && cycle(target)) {
-  }
-  pause_at_ = 0;
-}
+void DataflowCore::close_cycle() { dmem_->end_cycle(now_); }
 
-CoreResult DataflowCore::finish(std::uint64_t dispatch_limit) {
-  PPF_CHECK(trace_ != nullptr);
-  PPF_CHECK(dispatch_limit >= dispatched_);
-  cycle_limit_ =
-      now_ + (dispatch_limit - dispatched_ + 1024) * 512 + 10'000'000ULL;
-  pause_at_ = 0;
-  while (cycle(dispatch_limit)) {
-  }
-  CoreResult out = res_;
-  subtract_window(out, window_snapshot_);
-  out.cycles = now_ - window_start_;
-  return out;
-}
-
-void DataflowCore::register_obs(obs::MetricRegistry& reg) const {
-  register_core_counters(reg, res_);
-}
-
-void DataflowCore::register_checks(check::CheckRegistry& reg) const {
-  reg.add("core", [this](check::CheckContext& ctx) {
-    ctx.require(rob_next_seq_ - rob_head_seq_ == rob_count_ &&
-                    rob_count_ <= cfg_.rob_entries,
-                "core.rob_ring", [&] {
-                  return "head=" + std::to_string(rob_head_seq_) + " next=" +
-                         std::to_string(rob_next_seq_) + " count=" +
-                         std::to_string(rob_count_) + " capacity=" +
-                         std::to_string(cfg_.rob_entries);
+void DataflowCore::check_invariants(check::CheckContext& ctx) const {
+  ctx.require(rob_next_seq_ - rob_head_seq_ == rob_count_ &&
+                  rob_count_ <= cfg_.rob_entries,
+              "core.rob_ring", [&] {
+                return "head=" + std::to_string(rob_head_seq_) + " next=" +
+                       std::to_string(rob_next_seq_) + " count=" +
+                       std::to_string(rob_count_) + " capacity=" +
+                       std::to_string(cfg_.rob_entries);
+              });
+  for (std::size_t r = 0; r < regs_.size(); ++r) {
+    ctx.require(regs_[r].producer == kNoProducer ||
+                    regs_[r].producer < rob_next_seq_,
+                "core.reg_producer", [&] {
+                  return "r" + std::to_string(r) + " producer seq " +
+                         std::to_string(regs_[r].producer) +
+                         " was never allocated (next=" +
+                         std::to_string(rob_next_seq_) + ")";
                 });
-    ctx.require(lsq_count_ <= cfg_.lsq_entries && lsq_count_ <= rob_count_,
-                "core.lsq_bound", [&] {
-                  return "lsq=" + std::to_string(lsq_count_) + " capacity=" +
-                         std::to_string(cfg_.lsq_entries) + " rob=" +
-                         std::to_string(rob_count_);
-                });
-    for (std::size_t r = 0; r < regs_.size(); ++r) {
-      ctx.require(regs_[r].producer == kNoProducer ||
-                      regs_[r].producer < rob_next_seq_,
-                  "core.reg_producer", [&] {
-                    return "r" + std::to_string(r) + " producer seq " +
-                           std::to_string(regs_[r].producer) +
-                           " was never allocated (next=" +
-                           std::to_string(rob_next_seq_) + ")";
-                  });
-    }
-    ctx.require(win_pos_ <= window_.len && window_.len <= kFetchBatch,
-                "core.fetch_buffer", [&] {
-                  return "pos=" + std::to_string(win_pos_) + " len=" +
-                         std::to_string(window_.len);
-                });
-  });
+  }
 }
+
+// The shared cycle driver, compiled once, here, where the hooks above
+// can inline into it.
+template class Pipeline<DataflowCore>;
 
 }  // namespace ppf::core

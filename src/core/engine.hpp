@@ -1,13 +1,15 @@
 // Segmented core-execution interface.
 //
-// Both timing models (OooCore, DataflowCore) run the same outer shape:
-// bind a trace, simulate cycles, dispatch up to `width` instructions per
-// cycle. Historically that loop lived inside a single run() call; the
-// warmup-snapshot optimisation needs to *pause* a core exactly at the
-// warmup boundary (mid-cycle, right after the boundary instruction
-// dispatches — the same point at which run() fired its warmup callback),
-// clone the paused machine per filter variant, and resume each clone
-// independently. The segmented API exposes those phases:
+// Both timing models (OooCore, DataflowCore) are one machine: the
+// front end, the cycle driver and this API are core::Pipeline's
+// (core/pipeline.hpp), and each model supplies only its back end. The
+// driver binds a trace, simulates cycles and dispatches up to `width`
+// instructions per cycle. The warmup-snapshot optimisation needs to
+// *pause* a core exactly at the warmup boundary (mid-cycle, right after
+// the boundary instruction dispatches — the point at which run() fires
+// its warmup callback), clone the paused machine per filter variant, and
+// resume each clone independently. The segmented API exposes those
+// phases:
 //
 //   bind(trace)                  reset per-run state, prime the fetch buffer
 //   run_until_dispatched(n)      simulate until n instructions dispatched,
@@ -101,24 +103,6 @@ struct CoreResult {
   }
 };
 
-/// Records pulled from the trace per next_batch() call. Amortises the
-/// virtual dispatch that a per-record next() paid on every instruction.
-inline constexpr std::size_t kFetchBatch = 64;
-
-/// A core's staging window over a streamed trace: up to kFetchBatch
-/// records in the arena's column layout, filled by one next_batch call.
-struct FetchWindow {
-  workload::ColumnBuffer<kFetchBatch> records{};
-  std::size_t len = 0;
-  bool eof = true;  ///< the source ran dry: refill() reads no more
-
-  /// Replace the window's records with the source's next batch.
-  void refill(workload::TraceSource& src) {
-    len = eof ? 0 : src.next_batch(records.columns(), kFetchBatch);
-    if (len < kFetchBatch) eof = true;
-  }
-};
-
 class CoreEngine {
  public:
   virtual ~CoreEngine() = default;
@@ -163,11 +147,11 @@ class CoreEngine {
   }
 
   /// Register this core's window counters as `core.metric` (ppf::obs).
-  /// Default registers nothing; both timing models override.
+  /// Default registers nothing; core::Pipeline overrides.
   virtual void register_obs(obs::MetricRegistry& reg) const;
 
   /// Register this core's structural invariants under `core` (ppf::check).
-  /// Default registers nothing; both timing models override.
+  /// Default registers nothing; core::Pipeline overrides.
   virtual void register_checks(check::CheckRegistry& reg) const;
 
  protected:

@@ -12,14 +12,12 @@
 // in-flight load with a configurable probability, which reproduces the
 // load-use serialisation that makes cache pollution expensive.
 //
-// The cycle loop is a sequence of stage kernels — MSHR/fill retire,
-// cache-probe issue, fetch/dispatch, hierarchy end-of-cycle — built for
-// speed:
+// The front end, the cycle driver and the segmented CoreEngine API are
+// core::Pipeline's (core/pipeline.hpp), shared with DataflowCore. This
+// class is the occupancy back end the driver calls as stage kernels —
+// MSHR/fill retire, cache-probe issue, dispatch, hierarchy end-of-cycle
+// — built for speed:
 //
-//   * Decode reads straight off the MaterializedTrace columns when the
-//     trace is an arena cursor. Other sources write the same columns
-//     into a kFetchBatch staging window (FetchWindow) through next_batch,
-//     so the inner loop is one shape either way.
 //   * `Mem` is the concrete memory system — sim::MemoryHierarchy in the
 //     simulator, fixed-latency fakes in the unit tests — so every
 //     begin_cycle/try_reserve_port/demand_access/fetch/end_cycle call is
@@ -28,12 +26,9 @@
 //     DataMemory and InstMemory (core/memory_iface.hpp).
 //   * The pending-memory queues are flat power-of-two rings (their depth
 //     is bounded by the ROB).
+//   * A provable stall is skipped in one step (fast_forward_stall).
 //   * Each stage kernel feeds the core.stage.* accounting: exact record
 //     counts, and sampled wall-clock ns (telemetry only).
-//
-// All run state lives in members so a run can pause at the warmup
-// boundary and resume (or be cloned and resumed per filter variant) —
-// see core/engine.hpp.
 #pragma once
 
 #include <chrono>
@@ -49,20 +44,20 @@
 #include "common/bits.hpp"
 #include "common/random.hpp"
 #include "common/types.hpp"
-#include "core/branch_predictor.hpp"
-#include "core/btb.hpp"
 #include "core/engine.hpp"
 #include "core/memory_iface.hpp"
-#include "workload/materialized.hpp"
+#include "core/pipeline.hpp"
 #include "workload/trace.hpp"
 
 namespace ppf::core {
 
 template <typename Mem>
-class OooCore final : public CoreEngine {
+class OooCore final : public Pipeline<OooCore<Mem>> {
   static_assert(std::is_base_of_v<DataMemory, Mem> &&
                     std::is_base_of_v<InstMemory, Mem>,
                 "OooCore's memory implements DataMemory and InstMemory");
+  using Base = Pipeline<OooCore<Mem>>;
+  friend Base;
 
  public:
   OooCore(CoreConfig cfg, Mem& mem);
@@ -72,23 +67,19 @@ class OooCore final : public CoreEngine {
   /// arena mode `trace` may run over a longer arena than other's.
   OooCore(const OooCore& other, Mem& mem, workload::TraceSource& trace);
 
-  void bind(workload::TraceSource& trace) override;
-  void run_until_dispatched(std::uint64_t target) override;
-  void begin_window() override;
-  CoreResult finish(std::uint64_t dispatch_limit) override;
-  [[nodiscard]] std::uint64_t dispatched() const override {
-    return dispatched_;
-  }
   /// Clones only onto another Mem (returns nullptr for any other
   /// DataMemory/InstMemory, and when dmem/imem are not the same object)
   /// — the caller then falls back to the cold path.
   [[nodiscard]] std::unique_ptr<CoreEngine> clone_rebound(
       DataMemory& dmem, InstMemory& imem,
       workload::TraceSource& trace) const override;
-  void register_obs(obs::MetricRegistry& reg) const override;
-  void register_checks(check::CheckRegistry& reg) const override;
 
  private:
+  using Base::cfg_, Base::res_, Base::now_, Base::rob_count_,
+      Base::lsq_count_, Base::view_, Base::idx_, Base::fetch_ready_,
+      Base::redirect_until_, Base::cur_fetch_line_, Base::line_shift_,
+      Base::cycle_limit_, Base::cycle_trace_active_, Base::rob_full;
+
   static constexpr Cycle kNotDone = std::numeric_limits<Cycle>::max();
   /// Timed cycles are 1-in-kTimingSample; the measured ns are scaled by
   /// the sample period, so the stage ns fields are whole-run estimates.
@@ -126,58 +117,52 @@ class OooCore final : public CoreEngine {
     void pop() { ++head; }
   };
 
-  static unsigned shift_of(unsigned bytes) {
-    unsigned s = 0;
-    for (unsigned v = bytes; v > 1; v >>= 1) ++s;
-    return s;
-  }
-  static double ns_between(TimePoint a, TimePoint b) {
-    return std::chrono::duration<double, std::nano>(b - a).count();
-  }
+  // --- Pipeline hooks --------------------------------------------------
+  Mem& inst_memory() { return *mem_; }
+  [[nodiscard]] bool redirecting() const { return now_ < redirect_until_; }
+  // The driver's per-cycle calls inline, as one stage-kernel loop.
+  /// Stall fast-forward, then the retire and cache-probe issue kernels.
+  [[gnu::always_inline]] inline void open_cycle();
+  [[gnu::always_inline]] inline void dispatch_one(Pc pc, std::uint8_t op,
+                                                  workload::InstKind kind,
+                                                  bool is_mem);
+  /// Closes the dispatch kernel's timing, then the hierarchy's end of
+  /// cycle.
+  [[gnu::always_inline]] inline void close_cycle();
+  /// A resumed cycle is never timed (its start was the paused one's).
+  void resume_cycle() { timed_ = false; }
+  void check_invariants(check::CheckContext& ctx) const;
 
   /// Issue one pending memory op and update its ROB entry.
   void do_issue(Cycle now, const PendingMem& p, bool serial);
-  [[nodiscard]] bool rob_full() const {
-    return rob_count_ == cfg_.rob_entries;
-  }
   RobEntry& rob_at(std::uint64_t seq) { return rob_[seq & rob_mask_]; }
   std::uint64_t alloc_rob(bool is_mem);
   void retire(Cycle now);
   void issue_pending(Cycle now);
-
-  // Decode-window plumbing: view_ points either at the shared arena's
-  // columns (arena mode; idx_ is the absolute record index) or at the
-  // staging window (stream mode; idx_ in [0, win_end_)).
-  [[nodiscard]] bool have_rec() const { return idx_ < win_end_; }
-  void refill_stream();
-  void advance();
-  /// Arena mode: publish idx_ back into the cursor so a paused engine's
-  /// trace position is observable (snapshots clone the cursor at pos()).
-  void sync_cursor();
-
-  /// Simulate one cycle (or resume the paused one). Returns false when
-  /// the trace is exhausted and the pipeline has drained. Pauses
-  /// mid-cycle (mid_cycle_ set, returns true) when dispatched_ reaches
-  /// pause_at_.
-  bool cycle(std::uint64_t limit);
 
   /// Stall fast-forward: when provably nothing can happen this cycle —
   /// memory quiescent, no issuable pending ops, dispatch blocked — jump
   /// `now_` straight to the next event (head-of-ROB completion, serial
   /// chain ready, fetch redirect done), batching the per-cycle stall
   /// attribution. Result-identical to stepping the skipped cycles.
-  void fast_forward_stall();
+  [[gnu::always_inline]] inline void fast_forward_stall();
+
+  /// Stage timing: on a timed cycle, add the wall time since the last
+  /// lap (scaled by the sample period) to `ns`.
+  void lap(double& ns) {
+    if (!timed_) return;
+    const TimePoint t = std::chrono::steady_clock::now();
+    ns += std::chrono::duration<double, std::nano>(t - lap_start_).count() *
+          kTimingSample;
+    lap_start_ = t;
+  }
 
   /// The whole machine, memory binding and trace included; the rebinding
   /// copy then rebinds those.
   OooCore(const OooCore&) = default;
 
-  CoreConfig cfg_;
   Mem* mem_;
-  BimodalPredictor bp_;
-  Btb btb_;
   Xorshift rng_;
-  unsigned line_shift_ = 0;
 
   /// rob_ storage is rounded up to a power of two so the ring index is a
   /// mask, not a modulo; capacity checks still use cfg_.rob_entries.
@@ -185,8 +170,6 @@ class OooCore final : public CoreEngine {
   std::vector<RobEntry> rob_;
   std::uint64_t rob_head_seq_ = 0;
   std::uint64_t rob_next_seq_ = 0;
-  unsigned rob_count_ = 0;
-  unsigned lsq_count_ = 0;
   PendingRing pending_mem_;
   /// Pointer-chase accesses: issue strictly in order, each gated on the
   /// previous serial load's completion (true data dependence).
@@ -196,48 +179,14 @@ class OooCore final : public CoreEngine {
   Cycle last_load_done_ = 0;
   bool last_load_known_ = true;
 
-  // --- per-run state (reset by bind) ---------------------------------
-  workload::TraceSource* trace_ = nullptr;
-  workload::TraceCursor* cursor_ = nullptr;  ///< non-null in arena mode
-  std::shared_ptr<const workload::MaterializedTrace> arena_;
-  workload::ColumnView view_;
-  std::size_t idx_ = 0;
-  std::size_t win_end_ = 0;
-  bool arena_mode_ = false;
-  FetchWindow window_;  ///< stream mode's staging window
-
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t pause_at_ = 0;  ///< 0 = no pause requested
-  CoreResult res_;
-  CoreResult window_snapshot_;
-  Cycle window_start_ = 0;
-  Cycle now_ = 0;
-  Cycle cycle_limit_ = 0;  ///< livelock guard, recomputed per segment
-  Cycle fetch_ready_ = 0;
-  Cycle redirect_until_ = 0;
-  Addr cur_fetch_line_ = std::numeric_limits<Addr>::max();
   std::uint64_t timing_tick_ = 0;
-
-  // Mid-cycle pause state (valid while mid_cycle_).
-  bool mid_cycle_ = false;
-  bool cycle_trace_active_ = false;
-  bool was_rob_full_ = false;
-  bool fetch_stalled_ = false;
-  bool lsq_blocked_ = false;
-  unsigned slots_ = 0;
+  bool timed_ = false;  ///< this cycle's stages are being timed
+  TimePoint lap_start_{};
 };
 
 template <typename Mem>
 OooCore<Mem>::OooCore(CoreConfig cfg, Mem& mem)
-    : cfg_(cfg),
-      mem_(&mem),
-      bp_(cfg.bimodal),
-      btb_(cfg.btb),
-      rng_(cfg.seed),
-      line_shift_(shift_of(cfg.ifetch_line_bytes)) {
-  PPF_CHECK(cfg_.width >= 1);
-  PPF_CHECK(cfg_.rob_entries >= cfg_.width);
-  PPF_CHECK(cfg_.lsq_entries >= 1);
+    : Base(cfg), mem_(&mem), rng_(cfg.seed) {
   // At most rob_entries sequence numbers are live at once, so slots past
   // the architectural capacity in the rounded-up ring are simply unused.
   std::uint64_t ring = 1;
@@ -257,26 +206,7 @@ OooCore<Mem>::OooCore(const OooCore& other, Mem& mem,
                       workload::TraceSource& trace)
     : OooCore(other) {
   mem_ = &mem;
-  set_heartbeat(nullptr);  // the caller rewires it per clone
-  trace_ = &trace;
-  if (arena_mode_) {
-    cursor_ = dynamic_cast<workload::TraceCursor*>(&trace);
-    PPF_CHECK_MSG(cursor_ != nullptr,
-                  "arena-bound clone requires a TraceCursor");
-    // The cursor may read a longer arena than other's (a snapshot resumed
-    // after its arena was regrown); decode runs to the new arena's end.
-    arena_ = cursor_->arena();
-    view_ = arena_->view();
-    win_end_ = arena_->size();
-    PPF_CHECK_MSG(cursor_->pos() == idx_ && idx_ <= win_end_,
-                  "clone cursor mispositioned");
-  } else {
-    // Stream mode: the staging window was copied with the machine; the
-    // view must target *our* copy, not other's.
-    cursor_ = nullptr;
-    arena_.reset();
-    view_ = window_.records.columns();
-  }
+  this->rebind(trace);
 }
 
 template <typename Mem>
@@ -345,65 +275,6 @@ void OooCore<Mem>::issue_pending(Cycle now) {
   }
 }
 
-// ppf:cold — stream-mode refill goes through the virtual TraceSource;
-// it runs once per kFetchBatch records, never per instruction.
-template <typename Mem>
-void OooCore<Mem>::refill_stream() {
-  window_.refill(*trace_);
-  idx_ = 0;
-  win_end_ = window_.len;
-}
-// ppf:hot
-
-template <typename Mem>
-void OooCore<Mem>::advance() {
-  ++idx_;
-  if (!arena_mode_ && idx_ >= win_end_ && !window_.eof) refill_stream();
-}
-
-template <typename Mem>
-void OooCore<Mem>::sync_cursor() {
-  if (cursor_ != nullptr) cursor_->seek(idx_);
-}
-
-template <typename Mem>
-void OooCore<Mem>::bind(workload::TraceSource& trace) {
-  trace_ = &trace;
-  cursor_ = dynamic_cast<workload::TraceCursor*>(&trace);
-  arena_mode_ = cursor_ != nullptr;
-  if (arena_mode_) {
-    // Decode straight off the shared arena: idx_ is the absolute record
-    // index; the cursor is only touched again at pause/finish sync.
-    arena_ = cursor_->arena();
-    view_ = arena_->view();
-    idx_ = cursor_->pos();
-    win_end_ = arena_->size();
-  } else {
-    arena_.reset();
-    window_.eof = false;
-    view_ = window_.records.columns();
-    refill_stream();
-  }
-  dispatched_ = 0;
-  pause_at_ = 0;
-  res_ = CoreResult{};
-  window_snapshot_ = CoreResult{};
-  window_start_ = 0;
-  now_ = 0;
-  cycle_limit_ = 0;
-  fetch_ready_ = 0;
-  redirect_until_ = 0;
-  cur_fetch_line_ = std::numeric_limits<Addr>::max();
-  timing_tick_ = 0;
-  mid_cycle_ = false;
-}
-
-template <typename Mem>
-void OooCore<Mem>::begin_window() {
-  window_snapshot_ = res_;
-  window_start_ = now_;
-}
-
 template <typename Mem>
 void OooCore<Mem>::fast_forward_stall() {
   // The hierarchy must have no per-cycle work of its own, and no pending
@@ -414,13 +285,12 @@ void OooCore<Mem>::fast_forward_stall() {
   const bool head_issued = rob_count_ > 0 && rob_at(rob_head_seq_).issued;
   if (head_issued && rob_at(rob_head_seq_).done <= now_) return;  // retires now
 
-  const bool fetch_blocked = now_ < fetch_ready_ || now_ < redirect_until_;
+  const bool blocked = this->fetch_blocked();
   bool lsq_blocking = false;
-  if (cycle_trace_active_ && !fetch_blocked && !rob_full()) {
-    const auto kind = workload::op_kind(view_.op[idx_]);
-    const bool is_mem =
-        kind == workload::InstKind::Load || kind == workload::InstKind::Store;
-    if (!is_mem || lsq_count_ < cfg_.lsq_entries) return;  // can dispatch now
+  if (cycle_trace_active_ && !blocked && !rob_full()) {
+    if (!Base::is_mem(workload::op_kind(view_.op[idx_])) ||
+        !this->lsq_full())
+      return;  // can dispatch now
     // An LSQ-blocked cycle still runs the I-line probe first; only skip
     // once that probe has already happened (and hit) for this record.
     if ((view_.pc[idx_] >> line_shift_) != cur_fetch_line_) return;
@@ -435,296 +305,143 @@ void OooCore<Mem>::fast_forward_stall() {
   if (!pending_serial_.empty() && serial_chain_ready_ < t) {
     t = serial_chain_ready_;
   }
-  if (fetch_blocked) {
+  if (blocked) {
     const Cycle unblock =
         fetch_ready_ > redirect_until_ ? fetch_ready_ : redirect_until_;
     if (unblock < t) t = unblock;
   }
   if (t == kNotDone || t <= now_) return;
-  // Never jump past the livelock budget: the guard in cycle() must fire
-  // exactly where cycle-by-cycle stepping would have tripped it.
+  // Never jump past the livelock budget: the guard in the cycle driver
+  // must fire exactly where cycle-by-cycle stepping would have tripped it.
   if (t > cycle_limit_) t = cycle_limit_;
 
-  const Cycle skipped = t - now_;
+  // Same precedence as the driver's per-cycle attribution; all three
+  // predicates are constant across [now_, t).
   if (cycle_trace_active_) {
-    // Same precedence as the per-cycle attribution at the end of cycle():
-    // ROB-full first, then LSQ (only reachable with fetch unblocked),
-    // then fetch. All three predicates are constant across [now_, t).
-    if (rob_full())
-      res_.rob_full_stall_cycles += skipped;
-    else if (lsq_blocking)
-      res_.lsq_full_stall_cycles += skipped;
-    else if (fetch_blocked)
-      res_.fetch_stall_cycles += skipped;
+    this->charge_stall(rob_full(), lsq_blocking, blocked, t - now_);
   }
   now_ = t;
 }
 
 template <typename Mem>
-bool OooCore<Mem>::cycle(std::uint64_t limit) {
-  heartbeat_tick(dispatched_);
+void OooCore<Mem>::open_cycle() {
+  fast_forward_stall();
   // Stage timing is sampled 1-in-kTimingSample cycles and scaled up;
   // resumed (mid-cycle) entries are never timed. Timing never touches
   // simulated state, so the ns estimates cannot perturb determinism.
-  bool timed = false;
-  TimePoint t0{};
-  if (!mid_cycle_) {
-    cycle_trace_active_ = have_rec() && dispatched_ < limit;
-    if (!cycle_trace_active_ && rob_count_ == 0 && pending_mem_.empty() &&
-        pending_serial_.empty())
-      return false;
-    PPF_CHECK_MSG(now_ < cycle_limit_, "timing model livelock");
-    fast_forward_stall();
+  timed_ = (timing_tick_++ & (kTimingSample - 1)) == 0;
+  if (timed_) lap_start_ = std::chrono::steady_clock::now();
+  mem_->begin_cycle(now_);
+  retire(now_);
+  lap(res_.stages.retire_ns);
+  issue_pending(now_);
+  lap(res_.stages.probe_ns);
+}
 
-    timed = (timing_tick_++ & (kTimingSample - 1)) == 0;
-    if (timed) t0 = std::chrono::steady_clock::now();
-    mem_->begin_cycle(now_);
-    retire(now_);
-    if (timed) {
-      const TimePoint t1 = std::chrono::steady_clock::now();
-      res_.stages.retire_ns += ns_between(t0, t1) * kTimingSample;
-      t0 = t1;
-    }
-    issue_pending(now_);
-    if (timed) {
-      const TimePoint t1 = std::chrono::steady_clock::now();
-      res_.stages.probe_ns += ns_between(t0, t1) * kTimingSample;
-      t0 = t1;
-    }
-
-    was_rob_full_ = rob_full();
-    fetch_stalled_ = now_ < fetch_ready_ || now_ < redirect_until_;
-    slots_ = cfg_.width;
-    lsq_blocked_ = false;
-  } else {
-    mid_cycle_ = false;
+template <typename Mem>
+void OooCore<Mem>::dispatch_one(Pc pc, std::uint8_t op,
+                                workload::InstKind kind, bool is_mem) {
+  ++res_.stages.fetch_records;
+  const std::uint64_t seq = alloc_rob(is_mem);
+  RobEntry& e = rob_at(seq);
+  Cycle done = now_ + cfg_.exec_latency;
+  // Statistical dataflow: consume the youngest load with prob p.
+  if (lsq_count_ > (is_mem ? 1U : 0U) && rng_.chance(cfg_.dep_on_load_prob)) {
+    if (last_load_known_ && last_load_done_ > done) done = last_load_done_;
   }
 
-  while (slots_ > 0 && idx_ < win_end_ && dispatched_ < limit) {
-    if (now_ < fetch_ready_ || now_ < redirect_until_) break;
-    if (rob_full()) break;
-    const Pc pc = view_.pc[idx_];
-
-    // Instruction fetch: crossing into a new I-line probes the L1I.
-    const Addr line = pc >> line_shift_;
-    if (line != cur_fetch_line_) {
-      const Cycle ready = mem_->fetch(now_, pc);
-      cur_fetch_line_ = line;
-      if (ready > now_) {
-        fetch_ready_ = ready;
-        break;
-      }
-    }
-
-    const auto kind = workload::op_kind(view_.op[idx_]);
-    const bool is_mem =
-        kind == workload::InstKind::Load || kind == workload::InstKind::Store;
-    if (is_mem && lsq_count_ >= cfg_.lsq_entries) {
-      lsq_blocked_ = true;
+  switch (kind) {
+    case workload::InstKind::Op:
+      e.done = done;
       break;
-    }
-
-    const std::uint64_t seq = alloc_rob(is_mem);
-    RobEntry& e = rob_at(seq);
-    Cycle done = now_ + cfg_.exec_latency;
-    // Statistical dataflow: consume the youngest load with prob p.
-    if (lsq_count_ > (is_mem ? 1U : 0U) &&
-        rng_.chance(cfg_.dep_on_load_prob)) {
-      if (last_load_known_ && last_load_done_ > done) done = last_load_done_;
-    }
-
-    switch (kind) {
-      case workload::InstKind::Op:
-        e.done = done;
-        break;
-      case workload::InstKind::SwPrefetch:
-        ++res_.sw_prefetches;
-        mem_->software_prefetch(now_, pc, view_.operand[idx_]);
-        e.done = done;
-        break;
-      case workload::InstKind::Branch: {
-        ++res_.branches;
-        const bool taken = (view_.op[idx_] & workload::kOpTaken) != 0;
-        const Addr target = view_.operand[idx_];
-        const bool pred_taken = bp_.predict(pc);
-        const auto pred_target = btb_.lookup(pc);
-        bool correct = pred_taken == taken;
-        if (correct && taken) {
-          correct = pred_target.has_value() && *pred_target == target;
-        }
-        bp_.update(pc, taken);
-        if (taken) btb_.update(pc, target);
-        bp_.note_outcome(correct);
-        e.done = done;
-        if (!correct) {
-          ++res_.mispredictions;
-          redirect_until_ = done + cfg_.mispredict_penalty;
-        }
-        if (taken) {
-          // Control transfer: the next line fetched is the target's.
-          cur_fetch_line_ = std::numeric_limits<Addr>::max();
-        }
-        break;
+    case workload::InstKind::SwPrefetch:
+      ++res_.sw_prefetches;
+      mem_->software_prefetch(now_, pc, view_.operand[idx_]);
+      e.done = done;
+      break;
+    case workload::InstKind::Branch:
+      e.done = done;
+      if (!this->predict_branch(pc, op)) {
+        redirect_until_ = done + cfg_.mispredict_penalty;
       }
-      case workload::InstKind::Load:
-      case workload::InstKind::Store: {
-        const bool is_store = kind == workload::InstKind::Store;
-        if (is_store)
-          ++res_.stores;
-        else
-          ++res_.loads;
-        const PendingMem pm{seq, pc, view_.operand[idx_], is_store};
-        if ((view_.op[idx_] & workload::kOpSerial) != 0) {
-          // Pointer chase: issue in chain order, gated on the previous
-          // serial load's data.
-          if (pending_serial_.empty() && serial_chain_ready_ <= now_ &&
-              mem_->try_reserve_port(now_)) {
-            do_issue(now_, pm, /*serial=*/true);
-          } else {
-            e.issued = false;
-            e.done = kNotDone;
-            pending_serial_.push(pm);
-            if (!is_store) last_load_known_ = false;
-          }
-        } else if (mem_->try_reserve_port(now_)) {
-          do_issue(now_, pm, /*serial=*/false);
+      break;
+    case workload::InstKind::Load:
+    case workload::InstKind::Store: {
+      const bool is_store = kind == workload::InstKind::Store;
+      if (is_store)
+        ++res_.stores;
+      else
+        ++res_.loads;
+      const PendingMem pm{seq, pc, view_.operand[idx_], is_store};
+      if ((op & workload::kOpSerial) != 0) {
+        // Pointer chase: issue in chain order, gated on the previous
+        // serial load's data.
+        if (pending_serial_.empty() && serial_chain_ready_ <= now_ &&
+            mem_->try_reserve_port(now_)) {
+          do_issue(now_, pm, /*serial=*/true);
         } else {
           e.issued = false;
           e.done = kNotDone;
-          pending_mem_.push(pm);
+          pending_serial_.push(pm);
           if (!is_store) last_load_known_ = false;
         }
-        break;
+      } else if (mem_->try_reserve_port(now_)) {
+        do_issue(now_, pm, /*serial=*/false);
+      } else {
+        e.issued = false;
+        e.done = kNotDone;
+        pending_mem_.push(pm);
+        if (!is_store) last_load_known_ = false;
       }
+      break;
     }
-
-    ++dispatched_;
-    ++res_.instructions;
-    ++res_.stages.fetch_records;
-    --slots_;
-    advance();
-    if (dispatched_ == pause_at_) {
-      // Pause exactly at the boundary, before finishing the cycle; the
-      // resumed (or cloned) core re-enters here with mid_cycle_ set.
-      mid_cycle_ = true;
-      return true;
-    }
-    if (now_ < redirect_until_) break;  // stop after a mispredicted branch
   }
-  if (timed) {
-    const TimePoint t1 = std::chrono::steady_clock::now();
-    res_.stages.fetch_ns += ns_between(t0, t1) * kTimingSample;
-    t0 = t1;
-  }
+}
 
-  if (cycle_trace_active_ && slots_ == cfg_.width) {
-    // Nothing dispatched this cycle: attribute the stall.
-    if (was_rob_full_)
-      ++res_.rob_full_stall_cycles;
-    else if (lsq_blocked_)
-      ++res_.lsq_full_stall_cycles;
-    else if (fetch_stalled_)
-      ++res_.fetch_stall_cycles;
-  }
-
+template <typename Mem>
+void OooCore<Mem>::close_cycle() {
+  lap(res_.stages.fetch_ns);
   ++res_.stages.memsys_records;
   mem_->end_cycle(now_);
-  if (timed) {
-    res_.stages.memsys_ns +=
-        ns_between(t0, std::chrono::steady_clock::now()) * kTimingSample;
-  }
-  ++now_;
-  return true;
+  lap(res_.stages.memsys_ns);
 }
+// ppf:cold
 
 template <typename Mem>
-void OooCore<Mem>::run_until_dispatched(std::uint64_t target) {
-  PPF_CHECK(trace_ != nullptr);
-  if (dispatched_ >= target) return;
-  // Livelock guard: the model must always make forward progress.
-  cycle_limit_ = now_ + (target - dispatched_ + 1024) * 512 + 10'000'000ULL;
-  pause_at_ = target;
-  while (!mid_cycle_ && cycle(target)) {
-  }
-  pause_at_ = 0;
-  // Publish the pause position: snapshot/clone machinery reads the
-  // cursor (arena mode consumes records without advancing it).
-  sync_cursor();
-}
-
-template <typename Mem>
-CoreResult OooCore<Mem>::finish(std::uint64_t dispatch_limit) {
-  PPF_CHECK(trace_ != nullptr);
-  PPF_CHECK(dispatch_limit >= dispatched_);
-  cycle_limit_ =
-      now_ + (dispatch_limit - dispatched_ + 1024) * 512 + 10'000'000ULL;
-  pause_at_ = 0;
-  while (cycle(dispatch_limit)) {
-  }
-  sync_cursor();
-  CoreResult out = res_;
-  subtract_window(out, window_snapshot_);
-  out.cycles = now_ - window_start_;
-  return out;
-}
-
-template <typename Mem>
-void OooCore<Mem>::register_obs(obs::MetricRegistry& reg) const {
-  register_core_counters(reg, res_);
-}
-
-template <typename Mem>
-void OooCore<Mem>::register_checks(check::CheckRegistry& reg) const {
-  reg.add("core", [this](check::CheckContext& ctx) {
-    const bool ring_ok = rob_next_seq_ - rob_head_seq_ == rob_count_ &&
-                         rob_count_ <= cfg_.rob_entries &&
-                         rob_.size() == rob_mask_ + 1 && is_pow2(rob_.size());
-    ctx.require(ring_ok, "core.rob_ring", [&] {
-      return "head=" + std::to_string(rob_head_seq_) + " next=" +
-             std::to_string(rob_next_seq_) + " count=" +
-             std::to_string(rob_count_) + " capacity=" +
-             std::to_string(cfg_.rob_entries) + " storage=" +
-             std::to_string(rob_.size());
-    });
-    ctx.require(lsq_count_ <= cfg_.lsq_entries && lsq_count_ <= rob_count_,
-                "core.lsq_bound", [&] {
-                  return "lsq=" + std::to_string(lsq_count_) + " capacity=" +
-                         std::to_string(cfg_.lsq_entries) + " rob=" +
-                         std::to_string(rob_count_);
-                });
-    // Every pending op occupies a not-yet-issued ROB entry, and both
-    // rings hold entries in strict age (allocation seq) order — the
-    // LSQ-age-order property retirement and serial issue depend on.
-    const auto ordered = [&](const PendingRing& q) {
-      std::uint64_t prev = 0;
-      bool first = true;
-      for (std::uint64_t i = q.head; i != q.tail; ++i) {
-        const PendingMem& p = q.slots[i & q.mask];
-        if (!first && p.seq <= prev) return false;
-        if (p.seq < rob_head_seq_ || p.seq >= rob_next_seq_) return false;
-        prev = p.seq;
-        first = false;
-      }
-      return true;
-    };
-    ctx.require(ordered(pending_mem_) && ordered(pending_serial_) &&
-                    pending_mem_.size() + pending_serial_.size() <= rob_count_,
-                "core.lsq_age_order", [&] {
-                  return "pending_mem=" + std::to_string(pending_mem_.size()) +
-                         " pending_serial=" +
-                         std::to_string(pending_serial_.size()) + " rob=" +
-                         std::to_string(rob_count_);
-                });
-    const bool window_ok =
-        arena_mode_ ? (arena_ != nullptr && win_end_ == arena_->size() &&
-                       idx_ <= win_end_)
-                    : (idx_ <= win_end_ && win_end_ <= kFetchBatch);
-    ctx.require(window_ok, "core.fetch_buffer", [&] {
-      return "idx=" + std::to_string(idx_) + " end=" +
-             std::to_string(win_end_) + " arena=" +
-             (arena_mode_ ? std::to_string(arena_->size()) : "stream");
-    });
+void OooCore<Mem>::check_invariants(check::CheckContext& ctx) const {
+  const bool ring_ok = rob_next_seq_ - rob_head_seq_ == rob_count_ &&
+                       rob_count_ <= cfg_.rob_entries &&
+                       rob_.size() == rob_mask_ + 1 && is_pow2(rob_.size());
+  ctx.require(ring_ok, "core.rob_ring", [&] {
+    return "head=" + std::to_string(rob_head_seq_) + " next=" +
+           std::to_string(rob_next_seq_) + " count=" +
+           std::to_string(rob_count_) + " capacity=" +
+           std::to_string(cfg_.rob_entries) + " storage=" +
+           std::to_string(rob_.size());
   });
+  // Every pending op occupies a not-yet-issued ROB entry, and both rings
+  // hold entries in strict age (allocation seq) order — the LSQ-age-order
+  // property retirement and serial issue depend on.
+  const auto ordered = [&](const PendingRing& q) {
+    std::uint64_t prev = 0;
+    bool first = true;
+    for (std::uint64_t i = q.head; i != q.tail; ++i) {
+      const PendingMem& p = q.slots[i & q.mask];
+      if (!first && p.seq <= prev) return false;
+      if (p.seq < rob_head_seq_ || p.seq >= rob_next_seq_) return false;
+      prev = p.seq;
+      first = false;
+    }
+    return true;
+  };
+  ctx.require(ordered(pending_mem_) && ordered(pending_serial_) &&
+                  pending_mem_.size() + pending_serial_.size() <= rob_count_,
+              "core.lsq_age_order", [&] {
+                return "pending_mem=" + std::to_string(pending_mem_.size()) +
+                       " pending_serial=" +
+                       std::to_string(pending_serial_.size()) + " rob=" +
+                       std::to_string(rob_count_);
+              });
 }
 
 }  // namespace ppf::core

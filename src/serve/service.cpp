@@ -139,17 +139,7 @@ void Service::register_metrics() {
 }
 
 runlab::Job Service::make_job(const std::string& config) const {
-  ParamMap params;
-  std::istringstream tokens(config);
-  std::string tok;
-  while (tokens >> tok) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("config token '" + tok +
-                                  "' is not key=value");
-    }
-    params.set(tok.substr(0, eq), tok.substr(eq + 1));
-  }
+  const ParamMap params = ParamMap::from_string(config);
   // bench is the one driver key; everything else must be a machine
   // override, parsed against its config_schema() domain.
   const std::string bench = params.get_string("bench", "");

@@ -42,11 +42,6 @@ namespace ppf::sim {
 class WarmupSnapshot {
  public:
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
-  /// Instructions dispatched during warmup (== cfg.warmup_instructions).
-  [[nodiscard]] std::uint64_t warmup_dispatched() const { return warmup_; }
-  /// Trace records consumed at the pause point (dispatched + records
-  /// still sitting in the core's fetch buffer).
-  [[nodiscard]] std::size_t trace_pos() const { return cursor_->pos(); }
   /// The arena this snapshot was built over. A resumed job reads its
   /// window from this arena or from any longer one that extends it.
   [[nodiscard]] const std::shared_ptr<const workload::MaterializedTrace>&
@@ -69,10 +64,11 @@ class WarmupSnapshot {
 
   SimConfig cfg_;
   std::shared_ptr<const workload::MaterializedTrace> arena_;
-  std::unique_ptr<workload::TraceCursor> cursor_;  ///< engine_'s trace
+  /// engine_'s trace, at the paused core's decode position.
+  std::unique_ptr<workload::TraceCursor> cursor_;
   std::unique_ptr<MemoryHierarchy> mem_;
   std::unique_ptr<core::CoreEngine> engine_;  ///< paused at the boundary
-  std::uint64_t warmup_ = 0;
+  std::uint64_t warmup_ = 0;  ///< instructions dispatched during warmup
 };
 
 /// Serialised warmup-relevant configuration: equal keys <=> identical

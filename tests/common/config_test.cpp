@@ -100,5 +100,17 @@ TEST(ParamMap, FromArgsRejectsDuplicateKeys) {
   EXPECT_EQ(p.get_string("a", ""), "2");
 }
 
+TEST(ParamMap, FromStringSplitsOnWhitespaceAndKeepsTheTokenRule) {
+  const ParamMap p = ParamMap::from_string("  a=1\tb=x=y \n c= ");
+  EXPECT_EQ(p.get_u64("a", 0), 1u);
+  EXPECT_EQ(p.get_string("b", ""), "x=y");
+  EXPECT_EQ(p.get_string("c", "unset"), "");
+  EXPECT_TRUE(ParamMap::from_string(" \t\n").entries().empty());
+  EXPECT_THROW(ParamMap::from_string("a=1 no_equals"), std::invalid_argument);
+  EXPECT_THROW(ParamMap::from_string("a=1 =2"), std::invalid_argument);
+  EXPECT_THROW(ParamMap::from_string("seed=1 a=2 seed=1"),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ppf

@@ -129,6 +129,12 @@ TEST(MakeJob, RejectsMalformedAndUnknownConfigs) {
   // obs= is a CLI *driver* key (sink wiring), not a machine override —
   // a daemon config string must not smuggle it in.
   EXPECT_THROW(service.make_job("bench=mcf obs=1"), std::invalid_argument);
+  // A key given twice is rejected, as every CLI driver rejects it; the
+  // last value must not silently win.
+  EXPECT_THROW(service.make_job("bench=mcf filter=pc filter=pa seed=3 seed=9"),
+               std::invalid_argument);
+  EXPECT_THROW(service.make_job("bench=mcf bench=gzip"),
+               std::invalid_argument);
 }
 
 TEST(Signature, ObsKnobsDoNotForkMemoKeys) {
@@ -148,13 +154,24 @@ TEST(Signature, ObsKnobsDoNotForkMemoKeys) {
 TEST(Signature, DistinctMachinesDoForkMemoKeys) {
   Service service(tiny_service_config());
   const runlab::Job base = service.make_job(kTinyConfig);
+  // kTinyConfig with `delta`'s key set to its value: a config string may
+  // give each key once, so a delta replaces the key rather than repeat it.
+  const auto with = [](const std::string& delta) {
+    ParamMap params = ParamMap::from_string(kTinyConfig);
+    const std::size_t eq = delta.find('=');
+    params.set(delta.substr(0, eq), delta.substr(eq + 1));
+    std::string config;
+    for (const auto& [key, value] : params.entries()) {
+      config += key + "=" + value + " ";
+    }
+    return config;
+  };
   for (const char* delta :
        {"seed=9", "instructions=30000", "warmup=5000", "history_entries=256",
         "source_separated=0", "l1d_kb=16", "filter=pa",
         // Within 1e-6 of the default 0.25: doubles are keyed exactly.
         "dep_prob=0.2500004"}) {
-    const runlab::Job other =
-        service.make_job(std::string(kTinyConfig) + " " + delta);
+    const runlab::Job other = service.make_job(with(delta));
     EXPECT_NE(diff::config_signature(other.config, other.benchmark),
               diff::config_signature(base.config, base.benchmark))
         << delta;

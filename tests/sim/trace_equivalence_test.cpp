@@ -1,7 +1,9 @@
 // A materialized arena must be a perfect stand-in for the streaming
 // generator it was drained from: running the simulator over a TraceCursor
-// has to produce the exact SimResult the generator produces, for every
-// built-in benchmark and both history-table indexing schemes.
+// (decoded in place) has to produce the exact SimResult the generator
+// produces (decoded through the 64-record fetch window), for every
+// built-in benchmark, both history-table indexing schemes and both timing
+// models. Occupancy cases keep their plain `bench_filter` names.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,15 +21,16 @@ namespace {
 
 class TraceEquivalenceTest
     : public ::testing::TestWithParam<
-          std::tuple<std::string, std::string>> {};
+          std::tuple<std::string, std::string, CoreModel>> {};
 
 TEST_P(TraceEquivalenceTest, MaterializedRunMatchesStreamingRun) {
-  const auto& [bench, kind] = GetParam();
+  const auto& [bench, kind, model] = GetParam();
 
   SimConfig cfg;
   cfg.max_instructions = 50'000;
   cfg.warmup_instructions = 10'000;
   cfg.filter = kind;
+  cfg.core_model = model;
 
   auto streaming = workload::make_benchmark(bench, 9);
   const SimResult cold = Simulator(cfg).run(*streaming);
@@ -45,10 +48,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("bh", "em3d", "perimeter", "ijpeg",
                                          "fpppp", "gcc", "wave5", "gap",
                                          "gzip", "mcf"),
-                       ::testing::Values("pa",
-                                         "pc")),
+                       ::testing::Values("pa", "pc"),
+                       ::testing::Values(CoreModel::Occupancy,
+                                         CoreModel::Dataflow)),
     [](const auto& info) {
-      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      const bool dataflow = std::get<2>(info.param) == CoreModel::Dataflow;
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) +
+             (dataflow ? "_dataflow" : "");
     });
 
 }  // namespace
