@@ -85,8 +85,9 @@ void DataflowCore::resolve(std::uint64_t seq, Cycle done, Cycle now) {
       ++i;
     }
   }
-  // Wake ALU consumers. A woken consumer may still have a second
-  // unresolved source: re-park it on that producer.
+  // Wake ALU consumers. Each waits on one producer only (a second
+  // source still unresolved at dispatch counts as ready then), so a
+  // woken consumer completes.
   for (std::size_t i = 0; i < waiting_alu_.size();) {
     if (waiting_alu_[i].producer_seq == seq) {
       WaitingAlu w = waiting_alu_[i];
@@ -158,7 +159,7 @@ void DataflowCore::dispatch_one(Pc pc, std::uint8_t op,
             ReadyMem{seq, pc, addr, is_store, std::max(now_, s1.ready)});
       } else {
         waiting_mem_.push_back(
-            WaitingMem{seq, pc, addr, is_store, s1.producer, 0});
+            WaitingMem{seq, pc, addr, is_store, s1.producer});
       }
       break;
     }
@@ -168,14 +169,13 @@ void DataflowCore::dispatch_one(Pc pc, std::uint8_t op,
         redirect_pending_ = true;
         redirect_seq_ = seq;
       }
-      WaitingAlu w{seq, 0, 0, now_, true, !correct};
+      WaitingAlu w{seq, 0, now_, !correct};
       if (s1.producer != kNoProducer) {
         w.producer_seq = s1.producer;
         w.other_ready =
             std::max(now_, s2.producer == kNoProducer ? s2.ready : now_);
-        // A doubly-unresolved branch re-parks on s2 via complete_alu's
-        // caller; to keep it simple we conservatively wait on s1 then
-        // treat s2 as ready (second-source chains are rare for
+        // With both sources unresolved the branch waits on s1 only and
+        // treats s2 as ready now (second-source chains are rare for
         // branches in our traces).
         waiting_alu_.push_back(w);
       } else if (s2.producer != kNoProducer) {
@@ -192,7 +192,7 @@ void DataflowCore::dispatch_one(Pc pc, std::uint8_t op,
       dmem_->software_prefetch(now_, pc, addr);
       [[fallthrough]];
     case workload::InstKind::Op: {
-      WaitingAlu w{seq, 0, dst, now_, false, false};
+      WaitingAlu w{seq, 0, now_, false};
       if (s1.producer != kNoProducer) {
         w.producer_seq = s1.producer;
         w.other_ready =

@@ -72,16 +72,13 @@ class DataflowCore final : public Pipeline<DataflowCore> {
     Addr addr;
     bool is_store;
     std::uint64_t producer_seq;  ///< rob seq computing the address
-    std::uint8_t other_src;      ///< second source register, if any
   };
 
   /// A non-memory instruction parked on an unresolved producer.
   struct WaitingAlu {
     std::uint64_t seq;
     std::uint64_t producer_seq;
-    std::uint8_t dst;
     Cycle other_ready;  ///< readiness of the already-resolved source
-    bool is_branch;
     bool mispredicted;
   };
 

@@ -147,21 +147,23 @@ ShadowEntry* Cache::shadow_entry(Addr addr) {
 std::optional<std::uint64_t> Cache::victim_age(Addr addr) const {
   const LineAddr line = line_of(addr);
   const std::size_t base = set_index(line) * ways_;
-  std::vector<WayState> view(ways_);
-  for (std::uint64_t w = 0; w < ways_; ++w) {
-    const LineMeta& m = meta_[base + w];
-    view[w] = WayState{m.valid, m.last_use, m.fill_seq, m.rrpv};
+  std::size_t victim = 0;  // a direct-mapped set has one candidate
+  if (ways_ > 1) {
+    for (std::uint64_t w = 0; w < ways_; ++w) {
+      const LineMeta& m = meta_[base + w];
+      scratch_view_[w] = WayState{m.valid, m.last_use, m.fill_seq, m.rrpv};
+    }
+    // Random replacement makes the victim non-deterministic; report the
+    // LRU way's age as the representative (the gate is advisory anyway).
+    // The RRIP kinds age only the scratch copy here — a probe must not
+    // perturb the real counters.
+    Xorshift probe_rng(1);
+    const ReplacementKind kind = cfg_.replacement == ReplacementKind::Random
+                                     ? ReplacementKind::Lru
+                                     : cfg_.replacement;
+    victim = choose_victim(std::span<WayState>(scratch_view_), kind,
+                           probe_rng);
   }
-  // Random replacement makes the victim non-deterministic; report the
-  // LRU way's age as the representative (the gate is advisory anyway).
-  // The RRIP kinds age only the local copy here — a probe must not
-  // perturb the real counters.
-  Xorshift probe_rng(1);
-  const ReplacementKind kind = cfg_.replacement == ReplacementKind::Random
-                                   ? ReplacementKind::Lru
-                                   : cfg_.replacement;
-  const std::size_t victim =
-      choose_victim(std::span<WayState>(view), kind, probe_rng);
   if (!meta_[base + victim].valid) return std::nullopt;
   return stamp_ - meta_[base + victim].last_use;
 }

@@ -270,7 +270,8 @@ class Cache {
   std::uint64_t stamp_ = kStampBase;  ///< monotone touch/fill sequence
   std::uint64_t lip_stamp_ = kStampBase;  ///< decreasing LIP insert stamp
   Xorshift rng_;
-  std::vector<WayState> scratch_view_;  ///< reused by fill(); avoids allocs
+  /// Reused by fill() and victim_age(); avoids a heap allocation each.
+  mutable std::vector<WayState> scratch_view_;
 
   Counter hits_[4];
   Counter misses_[4];

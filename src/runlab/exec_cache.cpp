@@ -26,6 +26,18 @@ double ms_since(ProfClock::time_point t0) {
       .count();
 }
 
+/// Takes `n` of `key`'s declared claims; true when they were its last.
+/// A key never declared has none to take.
+bool take_claims(std::unordered_map<std::string, std::size_t>& claims,
+                 const std::string& key, std::size_t n) {
+  const auto it = claims.find(key);
+  if (it == claims.end()) return false;
+  it->second -= std::min(it->second, n);
+  if (it->second != 0) return false;
+  claims.erase(it);
+  return true;
+}
+
 }  // namespace
 
 ExecCache::ExecCache(const ExecCacheConfig& cfg)
@@ -149,6 +161,15 @@ ExecCacheStats ExecCache::stats() const {
 }
 
 template <typename T>
+void ExecCache::drop_entry(std::unordered_map<std::string, Entry<T>>& map,
+                           const std::string& key, std::size_t& total) {
+  const auto it = map.find(key);
+  if (it == map.end()) return;
+  total -= it->second.bytes;
+  map.erase(it);
+}
+
+template <typename T>
 void ExecCache::evict_over_budget(
     std::unordered_map<std::string, Entry<T>>& map, std::size_t& total,
     std::size_t budget, std::uint64_t keep_id, std::uint64_t& evictions) {
@@ -179,9 +200,9 @@ void ExecCache::finalize_entry(std::unordered_map<std::string, Entry<T>>& map,
                                std::size_t budget, std::uint64_t& evictions) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map.find(key);
-  // The entry may have been replaced (regrown) while we built: then this
-  // build's bytes never enter the resident total — the artifact lives
-  // only as long as its waiters hold the shared_future.
+  // The entry may have been replaced (regrown) or dropped while we
+  // built: then this build's bytes never enter the resident total — the
+  // artifact lives only as long as its waiters hold the shared_future.
   if (it == map.end() || it->second.id != id) return;
   it->second.bytes = bytes;
   total += bytes;
@@ -201,21 +222,20 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
     auto it = arenas_.find(key);
     const bool resident = it != arenas_.end() && it->second.records >= need;
     // An undeclared job reads an arena, a bet on reuse; a declared one
-    // takes its reads off the trace.
-    if (const auto rit = reads_.find(key); rit != reads_.end()) {
-      const std::size_t left = rit->second;
-      rit->second -= std::min(left, trace_reads(job));
-      if (rit->second == 0) reads_.erase(rit);
-      if (left < 2 && !resident) {
-        // The trace's last declared read, and no arena holds it: the job
-        // streams, and gives up its claim on a warmup snapshot too.
-        if (const auto cit = consumers_.find(snapshot_key(job));
-            shares_warmup(job) && cit != consumers_.end() &&
-            --cit->second == 0) {
-          consumers_.erase(cit);
-        }
-        return nullptr;
+    // takes its reads off the trace, and the last of them drops the
+    // arena once it holds the arena's future.
+    const auto rit = reads_.find(key);
+    const bool lone_read = rit != reads_.end() && rit->second < 2;
+    const bool last_read = take_claims(reads_, key, trace_reads(job));
+    if (lone_read && !resident) {
+      // The trace's last declared read, and no arena holds it: the job
+      // streams, and gives up its claim on a warmup snapshot too.
+      if (shares_warmup(job) &&
+          take_claims(consumers_, snapshot_key(job), 1)) {
+        drop_entry(snaps_, snapshot_key(job), snapshot_bytes_);
       }
+      drop_entry(arenas_, key, arena_bytes_);  // too short to serve it
+      return nullptr;
     }
     if (resident) {
       it->second.tick = ++lru_clock_;
@@ -246,7 +266,15 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
       e.tick = ++lru_clock_;
       arenas_.emplace(key, std::move(e));
       ++counters_.trace_builds;
+      // Arenas alive: being built, or built and not yet freed. The count
+      // rises only here, so its peak is seen here.
+      ++arenas_building_;
+      std::erase_if(built_arenas_, [](const auto& a) { return a.expired(); });
+      counters_.arena_high_water =
+          std::max(counters_.arena_high_water,
+                   arenas_building_ + built_arenas_.size());
     }
+    if (last_read) drop_entry(arenas_, key, arena_bytes_);
   }
   if (id != 0) {
     try {
@@ -259,12 +287,18 @@ ExecCache::ArenaPtr ExecCache::arena_for(const Job& job) {
       prom.set_exception(std::current_exception());
       {
         std::lock_guard<std::mutex> lk(mu_);
+        --arenas_building_;
         auto it = arenas_.find(key);
         if (it != arenas_.end() && it->second.id == id) arenas_.erase(it);
       }
       return fut.get();  // rethrows
     }
     const ArenaPtr built = fut.get();
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      --arenas_building_;
+      built_arenas_.push_back(built);
+    }
     finalize_entry(arenas_, key, id, built->bytes(), arena_bytes_,
                    cfg_.trace_budget_bytes, counters_.trace_evictions);
     return built;
@@ -284,16 +318,13 @@ ExecCache::SnapshotPtr ExecCache::snapshot_for(const Job& job,
     // and in-place warmup happen under one lock, so every consumer of a
     // key sees the same sequence of decisions at any worker count.
     std::lock_guard<std::mutex> lk(mu_);
-    bool last_declared = false;
-    if (const auto cit = consumers_.find(key); cit != consumers_.end()) {
-      last_declared = --cit->second == 0;
-      if (last_declared) consumers_.erase(cit);
-    }
+    const bool last_declared = take_claims(consumers_, key, 1);
     auto it = snaps_.find(key);
     if (it != snaps_.end()) {
       it->second.tick = ++lru_clock_;
       ++counters_.snapshot_hits;
       fut = it->second.fut;
+      if (last_declared) drop_entry(snaps_, key, snapshot_bytes_);
     } else if (last_declared) {
       // No later declared job resumes this warm machine: warming up in
       // place is cheaper than building it and copying it once.

@@ -24,7 +24,7 @@
 // that was never declared reads a speculative arena.
 //
 // A snapshot costs a warmup plus a deep copy of the machine per resume,
-// and stays resident; warming up in place costs only the warmup. So a
+// and its residency; warming up in place costs only the warmup. So a
 // snapshot is built only where it will be reused. note_demand() counts
 // the declared consumers of each snapshot key, and execute() takes one
 // off and then: resumes from a snapshot that is resident or being built;
@@ -35,6 +35,19 @@
 // arena is regrown for a longer job: the regrown arena extends the old
 // one record for record, and the job resumes over the longer of the two.
 // Arenas regrow to at least twice their length.
+//
+// Declared artifacts leave the cache with their last declared consumer:
+// an arena when the last declared read of its trace takes its pointer, a
+// snapshot when the last declared consumer of its key resumes it. The
+// jobs holding them keep them alive until they finish. An artifact whose
+// last claim arrives while it is still being built leaves at once, and
+// its finished build adds nothing to the resident bytes, so what stays
+// resident does not depend on the worker count. A drop is not an
+// eviction: no counter moves. run_jobs dispatches a batch trace by
+// trace (runner.hpp), so a batch keeps about one arena per worker alive,
+// whatever its size; stats() reports the most arenas alive at once. An
+// undeclared job's artifacts stay: they are what a cache serving many
+// requests warm is for.
 //
 // A cache that outlives a batch must also be bounded: both stores carry
 // an optional LRU byte budget (trace_cache_mb= / snapshot_cache_mb= in
@@ -57,6 +70,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/prof.hpp"
 #include "runlab/sweep.hpp"
@@ -106,6 +120,9 @@ struct ExecCacheStats {
   std::uint64_t snapshot_resumes = 0;  ///< jobs that skipped warmup
   std::size_t trace_bytes = 0;         ///< resident arena bytes now
   std::size_t snapshot_bytes = 0;      ///< resident snapshot bytes now
+  /// Most arenas alive at once since the cache was made: being built,
+  /// or built and still held by the cache, a job or a snapshot.
+  std::size_t arena_high_water = 0;
 };
 
 class ExecCache {
@@ -134,6 +151,9 @@ class ExecCache {
 
   [[nodiscard]] ExecCacheStats stats() const;
 
+  /// The trace a job reads: its benchmark name and seed.
+  static std::string trace_key(const Job& job);
+
  private:
   using ArenaPtr = std::shared_ptr<const workload::MaterializedTrace>;
   using SnapshotPtr = std::shared_ptr<const sim::WarmupSnapshot>;
@@ -150,7 +170,6 @@ class ExecCache {
   /// Records the job consumes from its trace (measurement window plus
   /// active warmup).
   static std::size_t needed_records(const Job& job);
-  static std::string trace_key(const Job& job);
   static std::string snapshot_key(const Job& job);
   static bool is_static(const Job& job);
   /// A static job whose profile program (its mix's first) is another
@@ -174,6 +193,13 @@ class ExecCache {
                       std::size_t bytes, std::size_t& total,
                       std::size_t budget, std::uint64_t& evictions);
 
+  /// Drop `key`'s entry, which no declared job will claim again. An
+  /// entry still being built leaves too: finalize_entry then finds it
+  /// gone and adds nothing to the resident total. Called with mu_ held.
+  template <typename T>
+  void drop_entry(std::unordered_map<std::string, Entry<T>>& map,
+                  const std::string& key, std::size_t& total);
+
   template <typename T>
   void evict_over_budget(std::unordered_map<std::string, Entry<T>>& map,
                          std::size_t& total, std::size_t budget,
@@ -193,6 +219,10 @@ class ExecCache {
   std::unordered_map<std::string, Entry<SnapshotPtr>> snaps_;  // PPF_GUARDED_BY(mu_)
   std::size_t arena_bytes_ = 0;  // PPF_GUARDED_BY(mu_) finalized resident sum
   std::size_t snapshot_bytes_ = 0;  // PPF_GUARDED_BY(mu_)
+  std::size_t arenas_building_ = 0;  // PPF_GUARDED_BY(mu_)
+  /// Arenas built and not yet seen freed, held weakly (pruned at each
+  /// build): the unexpired ones are alive.
+  std::vector<std::weak_ptr<const workload::MaterializedTrace>> built_arenas_;  // PPF_GUARDED_BY(mu_)
   ExecCacheStats counters_;  // PPF_GUARDED_BY(mu_) (bytes fields unused)
 };
 

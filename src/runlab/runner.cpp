@@ -29,6 +29,25 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Job indices grouped by trace (ExecCache::trace_key), the groups in
+/// order of first appearance, each group in index order.
+std::vector<std::size_t> trace_major_order(const std::vector<Job>& jobs) {
+  std::unordered_map<std::string, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto [it, fresh] =
+        group_of.try_emplace(ExecCache::trace_key(jobs[i]), groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  std::vector<std::size_t> order;
+  order.reserve(jobs.size());
+  for (const std::vector<std::size_t>& g : groups) {
+    order.insert(order.end(), g.begin(), g.end());
+  }
+  return order;
+}
+
 }  // namespace
 
 double safe_mips(std::uint64_t instructions, double wall_ms) {
@@ -102,6 +121,10 @@ RunReport run_jobs(std::vector<Job> jobs, const RunOptions& opts) {
   }
   for (const Job& job : jobs) cache->note_demand(job);
   const ExecCacheStats cache_before = cache->stats();
+  // Trace by trace: a trace's jobs run together and its arena leaves the
+  // cache with their last read, so the batch holds about one arena per
+  // worker whatever its size. Results still land in index order.
+  const std::vector<std::size_t> order = trace_major_order(jobs);
 
   std::mutex progress_mu;
   std::size_t done = 0;
@@ -148,7 +171,8 @@ RunReport run_jobs(std::vector<Job> jobs, const RunOptions& opts) {
     });
   }
 
-  pool.run(jobs.size(), [&](std::size_t i, std::size_t worker) {
+  pool.run(jobs.size(), [&](std::size_t k, std::size_t worker) {
+    const std::size_t i = order[k];
     JobResult& slot = rep.results[i];
     slot.job = std::move(jobs[i]);
     slot.worker = worker;
@@ -258,6 +282,8 @@ RunReport run_jobs(std::vector<Job> jobs, const RunOptions& opts) {
       cache_after.trace_evictions - cache_before.trace_evictions;
   t.snapshot_evictions =
       cache_after.snapshot_evictions - cache_before.snapshot_evictions;
+  // A peak is no counter: a caller's cache reports its lifetime one.
+  t.arena_high_water = cache_after.arena_high_water;
   return rep;
 }
 

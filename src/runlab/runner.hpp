@@ -2,6 +2,13 @@
 // one self-contained Simulator per job, and aggregates the results back
 // into submission order regardless of completion order.
 //
+// Dispatch is trace-major: jobs are grouped by the trace they read
+// (benchmark and seed, ExecCache::trace_key), the groups in order of
+// first appearance and each group in index order. A trace's jobs thus
+// run together, and the execution cache drops its arena with their last
+// read, so a batch holds about one arena per worker, not one per trace.
+// With one worker the completion order is this dispatch order.
+//
 // Failure capture: a job whose config or benchmark is broken (or that
 // exceeds the soft timeout) produces an error record in its slot; the
 // rest of the batch is unaffected.
@@ -141,6 +148,11 @@ struct RunTelemetry {
   std::size_t snapshot_resumes = 0; ///< jobs that skipped warmup via a clone
   std::size_t trace_evictions = 0;    ///< arenas dropped by the byte budget
   std::size_t snapshot_evictions = 0; ///< snapshots dropped by the budget
+  /// Most arenas alive at once, being built or held by the cache, a job
+  /// or a snapshot (ExecCacheStats::arena_high_water). Unlike the counts
+  /// above it is not per batch: a caller's cache reports its lifetime
+  /// peak.
+  std::size_t arena_high_water = 0;
   /// Stage-kernel breakdown summed over succeeded jobs (window record
   /// counts and sampled ns estimates from occupancy-model jobs).
   core::StageStats stages;

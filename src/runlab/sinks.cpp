@@ -101,6 +101,7 @@ void write_telemetry_json(std::ostream& os, const RunReport& rep) {
      << "\"snapshot_resumes\":" << t.snapshot_resumes << ","
      << "\"trace_evictions\":" << t.trace_evictions << ","
      << "\"snapshot_evictions\":" << t.snapshot_evictions << ","
+     << "\"arena_high_water\":" << t.arena_high_water << ","
      // Stage-kernel breakdown (occupancy-model jobs contribute record
      // counts and sampled ns estimates; dataflow jobs contribute zero).
      << "\"stages\":{"
@@ -144,8 +145,12 @@ void print_telemetry(std::ostream& os, const RunTelemetry& t) {
      << sim::fmt(t.busy_ms / 1000.0, 2) << " s, utilization "
      << sim::fmt_pct(t.utilization) << "\n";
   if (t.arenas_built > 0 || t.snapshot_resumes > 0) {
-    os << "runlab: " << t.arenas_built << " trace arenas, "
-       << t.snapshots_built << " warmup snapshots, " << t.snapshot_resumes
+    // The peak covers the cache's life: a caller's cache may predate
+    // this batch.
+    os << "runlab: " << t.arenas_built << " trace arenas (at most "
+       << t.arena_high_water << " alive at once in the cache's life), "
+       << t.snapshots_built
+       << " warmup snapshots, " << t.snapshot_resumes
        << " jobs resumed from a snapshot";
     if (t.trace_evictions > 0 || t.snapshot_evictions > 0) {
       os << ", " << t.trace_evictions << "+" << t.snapshot_evictions

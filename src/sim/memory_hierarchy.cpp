@@ -405,7 +405,7 @@ void MemoryHierarchy::software_prefetch(Cycle now, Pc pc, Addr addr) {
   if (!cfg_.enable_sw_prefetch) return;
   const prefetch::PrefetchRequest req{l1d_.line_of(addr), pc,
                                       PrefetchSource::Software};
-  route_candidates(now, {req});
+  route_candidates(now, {&req, 1});
 }
 
 Cycle MemoryHierarchy::estimated_residence() const {
@@ -449,7 +449,7 @@ void MemoryHierarchy::check_recovery(Cycle now, LineAddr line) {
 }
 
 void MemoryHierarchy::route_candidates(
-    Cycle now, const std::vector<prefetch::PrefetchRequest>& cands) {
+    Cycle now, std::span<const prefetch::PrefetchRequest> cands) {
   for (const prefetch::PrefetchRequest& c : cands) {
     // Duplicate squash: line already resident or being fetched (no cost).
     if (line_resident(c.line) || line_in_flight(now, c.line)) {

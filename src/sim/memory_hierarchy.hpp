@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "check/check.hpp"
@@ -137,7 +138,7 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
 
   /// Route prefetch candidates through the pollution filter into the queue.
   void route_candidates(Cycle now,
-                        const std::vector<prefetch::PrefetchRequest>& cands);
+                        std::span<const prefetch::PrefetchRequest> cands);
 
   /// Process one L1/buffer eviction: classify, feed the filter, write back.
   void handle_eviction(Cycle now, const mem::Eviction& ev);

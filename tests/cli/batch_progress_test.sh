@@ -4,9 +4,10 @@
 # Under CTest stderr is never a TTY, so progress=1 (and auto) must
 # resolve to plain mode: one full completion line per job, no carriage
 # returns, no ANSI escape sequences, no wall-clock content in the
-# progress stream. With jobs=1 the completion order is the sweep
-# expansion order, so the whole progress transcript is deterministic
-# and pinned below. progress=0 must keep the stream silent.
+# progress stream. With jobs=1 the completion order is the dispatch
+# order (trace by trace: each seed's jobs together, in index order), so
+# the whole progress transcript is deterministic and pinned below.
+# progress=0 must keep the stream silent.
 set -eu
 
 batch="$1"
@@ -36,8 +37,8 @@ for err in auto.err plain.err; do
   grep '^\[' "$tmp/$err" >"$tmp/$err.progress" || true
   cat >"$tmp/expected" <<'EOF'
 [1/4] mcf/none/s1
-[2/4] mcf/none/s2
-[3/4] mcf/pc/s1
+[2/4] mcf/pc/s1
+[3/4] mcf/none/s2
 [4/4] mcf/pc/s2
 EOF
   if ! cmp -s "$tmp/$err.progress" "$tmp/expected"; then

@@ -2,13 +2,16 @@
 // The load-bearing contract is that eviction is *invisible in results*
 // — a rebuilt arena or warmup snapshot is byte-identical to the evicted
 // one, so a budget only ever costs rebuild time. Also covered: sharing
-// one cache across run_jobs batches (the daemon's usage), demand-sized
-// arena builds, regrow-on-demand when a longer job arrives, and the
-// snapshot policy: build a snapshot only for a key with a second
+// one cache across batches of undeclared jobs (the daemon's usage),
+// demand-sized arena builds, regrow-on-demand when a longer job arrives,
+// and the snapshot policy: build a snapshot only for a key with a second
 // declared consumer (or an undeclared job), warm up in place otherwise,
 // and keep snapshots usable across arena regrowth. The arena policy is
 // the same: a trace gets an arena only when it is read twice (a static
-// job reads it twice itself) or by an undeclared job.
+// job reads it twice itself) or by an undeclared job. Last, residency:
+// a declared arena or snapshot leaves the cache with its last declared
+// consumer, so a batch run trace by trace keeps at most one arena per
+// worker plus one alive.
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +57,20 @@ SweepSpec eviction_sweep() {
   return spec;
 }
 
+/// Runs `spec`'s jobs one at a time through `cache` without declaring
+/// them, as the serve daemon does, into a report shaped like run_jobs'.
+RunReport run_undeclared(ExecCache& cache, const SweepSpec& spec) {
+  RunReport rep;
+  for (Job& job : spec.expand()) {
+    JobResult r;
+    r.result = cache.execute(job);
+    r.ok = true;
+    r.job = std::move(job);
+    rep.results.push_back(std::move(r));
+  }
+  return rep;
+}
+
 TEST(ExecCacheBudget, EvictionIsInvisibleInResults) {
   // Unbudgeted reference run.
   RunOptions plain = with_workers(2);
@@ -61,16 +78,18 @@ TEST(ExecCacheBudget, EvictionIsInvisibleInResults) {
   EXPECT_EQ(ref.telemetry.trace_evictions, 0u);
   EXPECT_EQ(ref.telemetry.snapshot_evictions, 0u);
 
-  // 1 MB budgets cannot hold 6 arenas (or 6 warm machines), so the
-  // batch must evict and rebuild — and the JSON payload must not move
-  // by a byte.
-  RunOptions budgeted = with_workers(2);
-  budgeted.trace_cache_mb = 1;
-  budgeted.snapshot_cache_mb = 1;
-  const RunReport rep = run_sweep(eviction_sweep(), budgeted);
-  EXPECT_GT(rep.telemetry.trace_evictions, 0u);
-  EXPECT_GT(rep.telemetry.snapshot_evictions, 0u);
-  EXPECT_EQ(rep.telemetry.failed_jobs, 0u);
+  // Undeclared jobs keep their arenas and snapshots, and 1 MB budgets
+  // cannot hold 6 arenas (or 6 warm machines), so the cache must evict
+  // and rebuild — and the JSON payload must not move by a byte. (A
+  // declared batch drops each artifact after its last consumer, which
+  // leaves this sweep's budget nothing to evict.)
+  ExecCacheConfig budgeted;
+  budgeted.trace_budget_bytes = std::size_t{1} << 20;
+  budgeted.snapshot_budget_bytes = std::size_t{1} << 20;
+  ExecCache cache(budgeted);
+  const RunReport rep = run_undeclared(cache, eviction_sweep());
+  EXPECT_GT(cache.stats().trace_evictions, 0u);
+  EXPECT_GT(cache.stats().snapshot_evictions, 0u);
   EXPECT_EQ(to_json(rep), to_json(ref));
 }
 
@@ -86,19 +105,20 @@ TEST(ExecCacheBudget, TelemetryJsonCarriesEvictionCounters) {
 
 TEST(ExecCacheShared, OneCacheServesManyBatchesWarm) {
   ExecCache cache;
-  RunOptions opts = with_workers(2);
-  opts.cache = &cache;
-  const RunReport first = run_sweep(eviction_sweep(), opts);
-  EXPECT_GT(first.telemetry.arenas_built, 0u);
-  EXPECT_GT(first.telemetry.snapshots_built, 0u);
+  const RunReport first = run_undeclared(cache, eviction_sweep());
+  const ExecCacheStats after_first = cache.stats();
+  EXPECT_GT(after_first.trace_builds, 0u);
+  EXPECT_GT(after_first.snapshot_builds, 0u);
 
   // Second identical batch through the same cache: every arena and
   // snapshot is resident, so nothing is rebuilt and every job resumes
   // from a warm machine — with byte-identical output.
-  const RunReport second = run_sweep(eviction_sweep(), opts);
-  EXPECT_EQ(second.telemetry.arenas_built, 0u);
-  EXPECT_EQ(second.telemetry.snapshots_built, 0u);
-  EXPECT_EQ(second.telemetry.snapshot_resumes, second.results.size());
+  const RunReport second = run_undeclared(cache, eviction_sweep());
+  const ExecCacheStats after_second = cache.stats();
+  EXPECT_EQ(after_second.trace_builds, after_first.trace_builds);
+  EXPECT_EQ(after_second.snapshot_builds, after_first.snapshot_builds);
+  EXPECT_EQ(after_second.snapshot_resumes - after_first.snapshot_resumes,
+            second.results.size());
   EXPECT_EQ(to_json(second), to_json(first));
 }
 
@@ -414,6 +434,77 @@ TEST(ExecCacheSnapshots, ResumeReadsTheSnapshotsArenaWhenItIsLonger) {
   const ExecCacheStats st = cache.stats();
   EXPECT_EQ(st.trace_builds, 4u);
   EXPECT_EQ(st.snapshot_hits, 1u);
+}
+
+TEST(ExecCacheResidency, ArenasAreBoundedByWorkersNotTraces) {
+  // Seeds and benchmarks interleave through the job list (the seed axis
+  // is innermost), so in index order every trace would stay open until
+  // the long variant's last job. Static jobs read their trace twice;
+  // the none and pc jobs of a trace share a warmup key between their two
+  // windows, so each such key has two declared consumers.
+  SweepSpec spec;
+  spec.base = sim::SimConfig::paper_default();
+  spec.base.warmup_instructions = 5'000;
+  spec.benchmarks = {"mcf", "gzip"};
+  spec.filters = {"none", "pc", "static"};
+  spec.seeds = {1, 2, 3};
+  spec.variants = {
+      {"short", [](sim::SimConfig& c) { c.max_instructions = 10'000; }},
+      {"long", [](sim::SimConfig& c) { c.max_instructions = 15'000; }},
+  };
+  const std::vector<Job> jobs = spec.expand();
+  std::vector<std::string> cold;
+  for (const Job& j : jobs) {
+    cold.push_back(diff::result_signature(execute_job(j)));
+  }
+
+  const auto run = [&](std::size_t workers) {
+    ExecCache cache;
+    RunOptions opts = with_workers(workers);
+    opts.cache = &cache;
+    const RunReport rep = run_jobs(jobs, opts);
+    EXPECT_EQ(rep.telemetry.failed_jobs, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(diff::result_signature(rep.results[i].result), cold[i])
+          << workers << " workers, " << job_repro(jobs[i]);
+    }
+    EXPECT_EQ(rep.telemetry.arena_high_water, cache.stats().arena_high_water);
+    return std::make_pair(to_json(rep), cache.stats());
+  };
+  const auto [json1, st1] = run(1);
+  EXPECT_EQ(st1.trace_builds, 6u);  // every trace is read more than once
+  EXPECT_EQ(st1.snapshot_builds, 12u);  // two filters x six traces
+  EXPECT_EQ(st1.snapshot_resumes, 24u);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    const auto [json, st] = run(workers);
+    EXPECT_EQ(json, json1) << workers;
+    EXPECT_EQ(st.trace_builds, st1.trace_builds) << workers;
+    EXPECT_EQ(st.trace_hits, st1.trace_hits) << workers;
+    EXPECT_EQ(st.snapshot_builds, st1.snapshot_builds) << workers;
+    EXPECT_EQ(st.snapshot_hits, st1.snapshot_hits) << workers;
+    EXPECT_EQ(st.snapshot_resumes, st1.snapshot_resumes) << workers;
+    EXPECT_EQ(st.trace_evictions, 0u) << workers;
+    EXPECT_EQ(st.snapshot_evictions, 0u) << workers;
+    EXPECT_GE(st.arena_high_water, 1u) << workers;
+    EXPECT_LE(st.arena_high_water, workers + 1) << workers;
+    // Every consumer has run, so nothing stays resident.
+    EXPECT_EQ(st.trace_bytes, 0u) << workers;
+    EXPECT_EQ(st.snapshot_bytes, 0u) << workers;
+  }
+}
+
+TEST(ExecCacheResidency, HighWaterCountsArenasAliveOutsideTheCache) {
+  // An undeclared job keeps its arena and snapshot. A longer job regrows
+  // the arena: the cache lets the short one go, but the snapshot built on
+  // it still holds it, so two arenas are alive.
+  ExecCache cache;
+  (void)cache.execute(cached_job("mcf", 1, 20'000, 10'000));
+  EXPECT_EQ(cache.stats().arena_high_water, 1u);
+  (void)cache.execute(cached_job("mcf", 1, 60'000, 10'000));
+  EXPECT_EQ(cache.stats().trace_builds, 2u);
+  EXPECT_EQ(cache.stats().snapshot_hits, 1u);
+  EXPECT_EQ(cache.stats().arena_high_water, 2u);
 }
 
 }  // namespace
