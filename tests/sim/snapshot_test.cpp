@@ -6,10 +6,13 @@
 
 #include <ostream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/config.hpp"
 #include "filter/filter.hpp"
+#include "sim/config_apply.hpp"
 #include "sim/memory_hierarchy.hpp"
 #include "sim/simulator.hpp"
 #include "sim_result_eq.hpp"
@@ -57,6 +60,41 @@ INSTANTIATE_TEST_SUITE_P(AllFilters, SnapshotFilterTest,
                                            "static",
                                            "adaptive",
                                            "deadblock"));
+
+// The victim cache and the dedicated prefetch buffer are warm state too:
+// a clone that loses their records moves the window's first hits. Each
+// machine runs under no filter and under both of the paper's filters,
+// whose feedback the buffers' evictions drive.
+class SnapshotBufferTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(SnapshotBufferTest, WarmPathMatchesColdPathExactly) {
+  const auto& [machine, filter] = GetParam();
+  SimConfig cfg = quick_cfg(filter);
+  apply_overrides(cfg, ParamMap::from_string(machine));
+  ASSERT_TRUE(cfg.victim_cache_entries > 0 || cfg.use_prefetch_buffer);
+  const auto arena = arena_for("mcf", 7, 100'000);
+
+  workload::TraceCursor cold_cursor(arena);
+  const SimResult cold = Simulator(cfg).run(cold_cursor);
+
+  const auto snap = make_warmup_snapshot(cfg, arena);
+  ASSERT_NE(snap, nullptr);
+  const SimResult warm = run_from_snapshot(cfg, *snap, arena);
+
+  expect_identical(cold, warm);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BufferMachines, SnapshotBufferTest,
+    ::testing::Combine(::testing::Values("victim_entries=8",
+                                         "prefetch_buffer=1"),
+                       ::testing::Values("none", "pa", "pc")),
+    [](const ::testing::TestParamInfo<SnapshotBufferTest::ParamType>& info) {
+      const std::string& machine = std::get<0>(info.param);
+      return machine.substr(0, machine.find('=')) + "_" +
+             std::get<1>(info.param);
+    });
 
 TEST(Snapshot, DataflowCoreMatchesColdPath) {
   SimConfig cfg = quick_cfg("pa");
