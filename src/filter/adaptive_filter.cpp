@@ -53,8 +53,9 @@ std::unique_ptr<PollutionFilter> AdaptiveFilter::clone_rebound(
     const mem::Cache& l1) const {
   auto inner = inner_->clone_rebound(l1);
   if (!inner) return nullptr;
-  return std::unique_ptr<PollutionFilter>(
-      new AdaptiveFilter(*this, std::move(inner)));
+  std::unique_ptr<AdaptiveFilter> copy(new AdaptiveFilter(*this));
+  copy->inner_ = std::move(inner);
+  return copy;
 }
 
 }  // namespace ppf::filter

@@ -51,17 +51,10 @@ class AdaptiveFilter final : public PollutionFilter {
   bool decide(const PrefetchCandidate& c) override;
 
  private:
-  AdaptiveFilter(const AdaptiveFilter& o,
-                 std::unique_ptr<PollutionFilter> inner)
-      : PollutionFilter(o),
-        inner_(std::move(inner)),
-        cfg_(o.cfg_),
-        engaged_(o.engaged_),
-        accuracy_(o.accuracy_),
-        window_events_(o.window_events_),
-        window_good_(o.window_good_) {}
+  /// Only clone_rebound copies, and it gives the copy its own inner.
+  AdaptiveFilter(const AdaptiveFilter&) = default;
 
-  std::unique_ptr<PollutionFilter> inner_;
+  std::shared_ptr<PollutionFilter> inner_;
   AdaptiveConfig cfg_;
   bool engaged_ = false;
   double accuracy_ = 1.0;  ///< optimistic until the first window closes

@@ -5,7 +5,7 @@
 namespace ppf::filter {
 
 DeadBlockFilter::DeadBlockFilter(const mem::Cache& l1, DeadBlockConfig cfg)
-    : l1_(l1),
+    : l1_(&l1),
       age_threshold_(static_cast<std::uint64_t>(
           cfg.age_multiple *
           static_cast<double>(l1.config().num_lines()))) {
@@ -13,7 +13,7 @@ DeadBlockFilter::DeadBlockFilter(const mem::Cache& l1, DeadBlockConfig cfg)
 }
 
 bool DeadBlockFilter::decide(const PrefetchCandidate& c) {
-  const auto age = l1_.victim_age(l1_.base_of(c.line));
+  const auto age = l1_->victim_age(l1_->base_of(c.line));
   if (!age.has_value()) return true;  // free way: nothing to pollute
   return *age >= age_threshold_;      // only displace dead-looking lines
 }

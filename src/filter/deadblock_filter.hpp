@@ -31,17 +31,16 @@ class DeadBlockFilter final : public PollutionFilter {
 
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache& l1) const override {
-    return std::unique_ptr<PollutionFilter>(new DeadBlockFilter(*this, l1));
+    auto copy = std::make_unique<DeadBlockFilter>(*this);
+    copy->l1_ = &l1;
+    return copy;
   }
 
  protected:
   bool decide(const PrefetchCandidate& c) override;
 
  private:
-  DeadBlockFilter(const DeadBlockFilter& o, const mem::Cache& l1)
-      : PollutionFilter(o), l1_(l1), age_threshold_(o.age_threshold_) {}
-
-  const mem::Cache& l1_;
+  const mem::Cache* l1_;
   std::uint64_t age_threshold_;
 };
 

@@ -59,7 +59,8 @@ class PollutionFilter {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Copy of this filter with all learned state, any cache reference
-  /// rebound to `l1` (a cloned hierarchy's L1). Returns nullptr when the
+  /// rebound to `l1` (a cloned hierarchy's L1): the implicit copy of
+  /// *this, with a cache pointer re-pointed. Returns nullptr when the
   /// filter does not support cloning — hierarchies holding such a filter
   /// cannot be snapshotted for warmup reuse (they still simulate
   /// normally). All in-tree filters are cloneable.
@@ -103,7 +104,7 @@ class NullFilter final : public PollutionFilter {
   [[nodiscard]] const char* name() const override { return "none"; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::unique_ptr<PollutionFilter>(new NullFilter(*this));
+    return std::make_unique<NullFilter>(*this);
   }
 
  protected:
@@ -124,7 +125,7 @@ class PaFilter final : public PollutionFilter {
   [[nodiscard]] const HistoryTable& table() const { return table_; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::unique_ptr<PollutionFilter>(new PaFilter(*this));
+    return std::make_unique<PaFilter>(*this);
   }
 
  protected:
@@ -151,7 +152,7 @@ class PcFilter final : public PollutionFilter {
   [[nodiscard]] const HistoryTable& table() const { return table_; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::unique_ptr<PollutionFilter>(new PcFilter(*this));
+    return std::make_unique<PcFilter>(*this);
   }
 
  protected:
@@ -166,8 +167,6 @@ class PcFilter final : public PollutionFilter {
 
 // Filter selection is by registry key ("none", "pa", "pc", "static",
 // "adaptive", "deadblock", "perceptron", ...) — see registry/registry.hpp.
-// The old FilterKind enum is gone: a string key needs no enum<->string
-// mapping to fall out of sync with, and out-of-tree filters register
-// under the same namespace.
+// Out-of-tree filters register under the same keys.
 
 }  // namespace ppf::filter

@@ -8,7 +8,7 @@
 namespace ppf::prefetch {
 
 MarkovPrefetcher::MarkovPrefetcher(const mem::Cache& l1, MarkovConfig cfg)
-    : l1_(l1), cfg_(cfg) {
+    : l1_(&l1), cfg_(cfg) {
   PPF_CHECK(is_pow2(cfg_.table_entries));
   PPF_CHECK(cfg_.successors >= 1 && cfg_.successors <= 4);
   index_bits_ = log2_exact(cfg_.table_entries);
@@ -24,7 +24,7 @@ void MarkovPrefetcher::on_l1_demand(Pc pc, Addr addr,
                                     const mem::AccessResult& result,
                                     std::vector<PrefetchRequest>& out) {
   if (result.hit) return;
-  const LineAddr line = l1_.line_of(addr);
+  const LineAddr line = l1_->line_of(addr);
 
   // Record the observed transition last_miss -> line.
   if (has_last_ && last_miss_ != line) {
@@ -56,7 +56,9 @@ void MarkovPrefetcher::on_l1_demand(Pc pc, Addr addr,
 
 std::unique_ptr<Prefetcher> MarkovPrefetcher::clone_rebound(
     mem::Cache& l1, mem::Cache& /*l2*/) const {
-  return std::unique_ptr<Prefetcher>(new MarkovPrefetcher(*this, l1));
+  auto copy = std::make_unique<MarkovPrefetcher>(*this);
+  copy->l1_ = &l1;
+  return copy;
 }
 
 }  // namespace ppf::prefetch

@@ -45,17 +45,7 @@ class MarkovPrefetcher final : public Prefetcher {
 
   [[nodiscard]] std::size_t index_of(LineAddr line) const;
 
-  MarkovPrefetcher(const MarkovPrefetcher& o, const mem::Cache& l1)
-      : Prefetcher(o),
-        l1_(l1),
-        cfg_(o.cfg_),
-        index_bits_(o.index_bits_),
-        table_(o.table_),
-        has_last_(o.has_last_),
-        last_miss_(o.last_miss_),
-        recorded_(o.recorded_) {}
-
-  const mem::Cache& l1_;
+  const mem::Cache* l1_;
   MarkovConfig cfg_;
   unsigned index_bits_;
   std::vector<Entry> table_;

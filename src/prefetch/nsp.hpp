@@ -30,10 +30,7 @@ class NextSequencePrefetcher final : public Prefetcher {
       mem::Cache& l1, mem::Cache& l2) const override;
 
  private:
-  NextSequencePrefetcher(const NextSequencePrefetcher& o, mem::Cache& l1)
-      : Prefetcher(o), l1_(l1), degree_(o.degree_) {}
-
-  mem::Cache& l1_;
+  mem::Cache* l1_;
   unsigned degree_;
 };
 

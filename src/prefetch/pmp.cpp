@@ -93,7 +93,9 @@ void PmpPrefetcher::on_prefetch_used(LineAddr, PrefetchSource) {}
 
 std::unique_ptr<Prefetcher> PmpPrefetcher::clone_rebound(
     mem::Cache& l1, mem::Cache&) const {
-  return std::unique_ptr<Prefetcher>(new PmpPrefetcher(*this, l1));
+  auto copy = std::make_unique<PmpPrefetcher>(*this);
+  copy->l1_ = &l1;
+  return copy;
 }
 
 void PmpPrefetcher::register_checks(check::CheckRegistry& reg,

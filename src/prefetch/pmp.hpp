@@ -72,18 +72,6 @@ class PmpPrefetcher final : public Prefetcher {
     std::uint64_t bitmap = 0;  ///< touched offsets (absolute in-region)
   };
 
-  PmpPrefetcher(const PmpPrefetcher& o, const mem::Cache& l1)
-      : Prefetcher(o),
-        cfg_(o.cfg_),
-        l1_(&l1),
-        offset_mask_(o.offset_mask_),
-        region_shift_(o.region_shift_),
-        filter_(o.filter_),
-        filter_cursor_(o.filter_cursor_),
-        accum_(o.accum_),
-        accum_cursor_(o.accum_cursor_),
-        pattern_(o.pattern_) {}
-
   /// Train the pattern table from a completed (evicted) region footprint.
   void train(const AccumEntry& e);
   /// Move a filter-table region to the accumulation table.

@@ -36,15 +36,7 @@ class ShadowDirectoryPrefetcher final : public Prefetcher {
       mem::Cache& l1, mem::Cache& l2) const override;
 
  private:
-  ShadowDirectoryPrefetcher(const ShadowDirectoryPrefetcher& o, mem::Cache& l2)
-      : Prefetcher(o),
-        l2_(l2),
-        has_last_(o.has_last_),
-        last_access_base_(o.last_access_base_),
-        pending_confirmation_(o.pending_confirmation_),
-        shadow_updates_(o.shadow_updates_) {}
-
-  mem::Cache& l2_;
+  mem::Cache* l2_;
   /// Most recently accessed L2 line (byte base address), if any.
   bool has_last_ = false;
   Addr last_access_base_ = 0;

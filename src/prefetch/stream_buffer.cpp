@@ -6,7 +6,7 @@ namespace ppf::prefetch {
 
 StreamBufferPrefetcher::StreamBufferPrefetcher(const mem::Cache& l1,
                                                StreamBufferConfig cfg)
-    : l1_(l1), cfg_(cfg), streams_(cfg.num_streams) {
+    : l1_(&l1), cfg_(cfg), streams_(cfg.num_streams) {
   PPF_CHECK(cfg_.num_streams >= 1);
   PPF_CHECK(cfg_.depth >= 1);
 }
@@ -21,7 +21,7 @@ void StreamBufferPrefetcher::on_l1_demand(Pc pc, Addr addr,
                                           const mem::AccessResult& result,
                                           std::vector<PrefetchRequest>& out) {
   if (result.hit) return;  // stream buffers react to misses only
-  const LineAddr line = l1_.line_of(addr);
+  const LineAddr line = l1_->line_of(addr);
 
   // A miss that matches a tracked stream's expectation confirms and
   // advances it: keep running `depth` lines ahead.
@@ -57,7 +57,9 @@ void StreamBufferPrefetcher::on_l1_demand(Pc pc, Addr addr,
 
 std::unique_ptr<Prefetcher> StreamBufferPrefetcher::clone_rebound(
     mem::Cache& l1, mem::Cache& /*l2*/) const {
-  return std::unique_ptr<Prefetcher>(new StreamBufferPrefetcher(*this, l1));
+  auto copy = std::make_unique<StreamBufferPrefetcher>(*this);
+  copy->l1_ = &l1;
+  return copy;
 }
 
 }  // namespace ppf::prefetch

@@ -41,14 +41,7 @@ class StreamBufferPrefetcher final : public Prefetcher {
     std::uint64_t last_hit = 0;
   };
 
-  StreamBufferPrefetcher(const StreamBufferPrefetcher& o, const mem::Cache& l1)
-      : Prefetcher(o),
-        l1_(l1),
-        cfg_(o.cfg_),
-        streams_(o.streams_),
-        stamp_(o.stamp_) {}
-
-  const mem::Cache& l1_;
+  const mem::Cache* l1_;
   StreamBufferConfig cfg_;
   std::vector<Stream> streams_;
   std::uint64_t stamp_ = 0;

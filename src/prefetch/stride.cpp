@@ -6,7 +6,7 @@
 namespace ppf::prefetch {
 
 StridePrefetcher::StridePrefetcher(const mem::Cache& l1, StrideConfig cfg)
-    : l1_(l1), cfg_(cfg) {
+    : l1_(&l1), cfg_(cfg) {
   PPF_CHECK(is_pow2(cfg_.table_entries));
   PPF_CHECK(cfg_.degree >= 1);
   index_bits_ = log2_exact(cfg_.table_entries);
@@ -50,7 +50,7 @@ void StridePrefetcher::on_l1_demand(Pc pc, Addr addr,
       const Addr target =
           addr + static_cast<Addr>(e.stride * static_cast<std::int64_t>(d));
       out.push_back(
-          PrefetchRequest{l1_.line_of(target), pc, PrefetchSource::Stride});
+          PrefetchRequest{l1_->line_of(target), pc, PrefetchSource::Stride});
       count_emitted();
     }
   }
@@ -63,7 +63,9 @@ void StridePrefetcher::on_prefetch_used(LineAddr, PrefetchSource) {}
 
 std::unique_ptr<Prefetcher> StridePrefetcher::clone_rebound(
     mem::Cache& l1, mem::Cache& /*l2*/) const {
-  return std::unique_ptr<Prefetcher>(new StridePrefetcher(*this, l1));
+  auto copy = std::make_unique<StridePrefetcher>(*this);
+  copy->l1_ = &l1;
+  return copy;
 }
 
 }  // namespace ppf::prefetch

@@ -46,14 +46,7 @@ class StridePrefetcher final : public Prefetcher {
     State state = State::Initial;
   };
 
-  StridePrefetcher(const StridePrefetcher& o, const mem::Cache& l1)
-      : Prefetcher(o),
-        l1_(l1),
-        cfg_(o.cfg_),
-        index_bits_(o.index_bits_),
-        table_(o.table_) {}
-
-  const mem::Cache& l1_;
+  const mem::Cache* l1_;
   StrideConfig cfg_;
   unsigned index_bits_;
   std::vector<Entry> table_;
