@@ -1,4 +1,4 @@
-#include "mem/victim_cache.hpp"
+#include "mem/line_buffer.hpp"
 
 #include <unordered_set>
 
@@ -7,19 +7,19 @@
 
 namespace ppf::mem {
 
-VictimCache::VictimCache(std::size_t entries) : slots_(entries) {
+LineBuffer::LineBuffer(std::size_t entries) : slots_(entries) {
   PPF_CHECK(entries > 0);
 }
 
-void VictimCache::insert(const Eviction& ev) {
+std::optional<Eviction> LineBuffer::insert(const Eviction& rec) {
   inserts_.add();
+  // The first free slot, else the least recently used one.
   Slot* victim = &slots_[0];
   for (Slot& s : slots_) {
-    if (s.valid && s.record.line == ev.line) {
-      // Refresh an existing entry (same line re-evicted).
-      s.record = ev;
+    if (s.valid && s.record.line == rec.line) {
+      s.record = rec;
       s.stamp = ++stamp_;
-      return;
+      return std::nullopt;
     }
     if (!s.valid) {
       if (victim->valid) victim = &s;
@@ -27,12 +27,13 @@ void VictimCache::insert(const Eviction& ev) {
       victim = &s;
     }
   }
-  victim->valid = true;
-  victim->record = ev;
-  victim->stamp = ++stamp_;
+  std::optional<Eviction> displaced;
+  if (victim->valid) displaced = victim->record;
+  *victim = Slot{true, rec, ++stamp_};
+  return displaced;
 }
 
-std::optional<Eviction> VictimCache::recall(LineAddr line) {
+std::optional<Eviction> LineBuffer::take(LineAddr line) {
   probes_.add();
   for (Slot& s : slots_) {
     if (s.valid && s.record.line == line) {
@@ -44,36 +45,47 @@ std::optional<Eviction> VictimCache::recall(LineAddr line) {
   return std::nullopt;
 }
 
-bool VictimCache::contains(LineAddr line) const {
+bool LineBuffer::contains(LineAddr line) const {
   for (const Slot& s : slots_) {
     if (s.valid && s.record.line == line) return true;
   }
   return false;
 }
 
-std::size_t VictimCache::size() const {
+std::vector<Eviction> LineBuffer::drain() {
+  std::vector<Eviction> out;
+  for (Slot& s : slots_) {
+    if (s.valid) {
+      out.push_back(s.record);
+      s.valid = false;
+    }
+  }
+  return out;
+}
+
+std::size_t LineBuffer::size() const {
   std::size_t n = 0;
   for (const Slot& s : slots_) n += s.valid ? 1 : 0;
   return n;
 }
 
-void VictimCache::register_checks(check::CheckRegistry& reg,
-                                  const std::string& prefix) const {
+void LineBuffer::register_checks(check::CheckRegistry& reg,
+                                 const std::string& prefix) const {
   reg.add(prefix, [this](check::CheckContext& ctx) {
     std::unordered_set<LineAddr> lines;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       const Slot& s = slots_[i];
       if (!s.valid) continue;
-      ctx.require(lines.insert(s.record.line).second, "victim.duplicate_line",
-                  [&] {
+      ctx.require(lines.insert(s.record.line).second,
+                  "linebuf.duplicate_line", [&] {
                     return "line " + std::to_string(s.record.line) +
                            " held twice";
                   });
-      ctx.require(s.stamp <= stamp_, "victim.stamp_monotone", [&] {
+      ctx.require(s.stamp <= stamp_, "linebuf.stamp_monotone", [&] {
         return "slot " + std::to_string(i) + " stamp=" +
                std::to_string(s.stamp) + " > stamp=" + std::to_string(stamp_);
       });
-      ctx.require(!s.record.rib || s.record.pib, "victim.rib_implies_pib",
+      ctx.require(!s.record.rib || s.record.pib, "linebuf.rib_implies_pib",
                   [&] {
                     return "slot " + std::to_string(i) +
                            " has RIB set on a non-prefetched record";
@@ -82,7 +94,7 @@ void VictimCache::register_checks(check::CheckRegistry& reg,
   });
 }
 
-void VictimCache::reset_stats() {
+void LineBuffer::reset_stats() {
   probes_.reset();
   hits_.reset();
   inserts_.reset();

@@ -1,25 +1,8 @@
 #include "prefetch/composite.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "common/assert.hpp"
 
 namespace ppf::prefetch {
-
-CompositePrefetcher::CompositePrefetcher(const CompositePrefetcher& o,
-                                         mem::Cache& l1, mem::Cache& l2)
-    : Prefetcher(o) {
-  children_.reserve(o.children_.size());
-  for (const auto& c : o.children_) {
-    auto child = c->clone_rebound(l1, l2);
-    if (!child) {
-      throw std::runtime_error(std::string("prefetcher '") + c->name() +
-                               "' does not support clone_rebound");
-    }
-    children_.push_back(std::move(child));
-  }
-}
 
 void CompositePrefetcher::add(std::unique_ptr<Prefetcher> p) {
   PPF_CHECK(p != nullptr);

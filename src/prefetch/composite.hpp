@@ -13,11 +13,6 @@ class CompositePrefetcher final : public Prefetcher {
  public:
   CompositePrefetcher() = default;
 
-  /// Rebinding copy: clones every child rebound to `l1`/`l2`. Throws
-  /// std::runtime_error if a child is not cloneable.
-  CompositePrefetcher(const CompositePrefetcher& o, mem::Cache& l1,
-                      mem::Cache& l2);
-
   /// Add a child prefetcher. Children are invoked in insertion order.
   void add(std::unique_ptr<Prefetcher> p);
 

@@ -20,8 +20,7 @@ std::unique_ptr<filter::PollutionFilter> make_filter(const SimConfig& cfg,
   return registry::make_filter(cfg.filter, ctx);
 }
 
-MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg,
-                                 filter::PollutionFilter* external_filter)
+HierarchyState::HierarchyState(const SimConfig& cfg)
     : cfg_(cfg),
       l1d_(cfg.l1d, cfg.seed + 1),
       l1i_(cfg.l1i, cfg.seed + 2),
@@ -30,17 +29,18 @@ MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg,
       dram_(cfg.dram),
       pq_(cfg.prefetch_queue_entries),
       mshr_(cfg.mshr_entries) {
+  if (cfg.use_prefetch_buffer) buffer_.emplace(cfg.prefetch_buffer_entries);
+  if (cfg.victim_cache_entries > 0) victim_.emplace(cfg.victim_cache_entries);
+}
+
+MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg,
+                                 filter::PollutionFilter* external_filter)
+    : HierarchyState(cfg) {
   if (external_filter != nullptr) {
     active_filter_ = external_filter;
   } else {
     owned_filter_ = make_filter(cfg, l1d_);
     active_filter_ = owned_filter_.get();
-  }
-  if (cfg.use_prefetch_buffer) {
-    buffer_ = std::make_unique<mem::PrefetchBuffer>(cfg.prefetch_buffer_entries);
-  }
-  if (cfg.victim_cache_entries > 0) {
-    victim_ = std::make_unique<mem::VictimCache>(cfg.victim_cache_entries);
   }
   registry::PrefetcherContext pctx;
   pctx.l1d = &l1d_;
@@ -54,46 +54,36 @@ MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg,
   }
 }
 
+namespace {
+
+/// `clone`, the clone_rebound of the component named `name` (of kind
+/// `kind`); throws std::runtime_error naming it when there is none.
+template <typename T>
+std::unique_ptr<T> require_clone(std::unique_ptr<T> clone, const char* kind,
+                                 const char* name) {
+  if (clone == nullptr) {
+    throw std::runtime_error(std::string(kind) + " '" + name +
+                             "' does not support clone_rebound");
+  }
+  return clone;
+}
+
+}  // namespace
+
 MemoryHierarchy::MemoryHierarchy(const MemoryHierarchy& o)
-    : cfg_(o.cfg_),
-      l1d_(o.l1d_),
-      l1i_(o.l1i_),
-      l2_(o.l2_),
-      bus_(o.bus_),
-      dram_(o.dram_),
-      pq_(o.pq_),
-      buffer_(o.buffer_ ? std::make_unique<mem::PrefetchBuffer>(*o.buffer_)
-                        : nullptr),
-      victim_(o.victim_ ? std::make_unique<mem::VictimCache>(*o.victim_)
-                        : nullptr),
-      mshr_(o.mshr_),
-      load_latency_(o.load_latency_),
-      prefetcher_(o.prefetcher_, l1d_, l2_),
-      classifier_(o.classifier_),
-      taxonomy_(o.taxonomy_),
-      in_flight_(o.in_flight_),
-      rejected_(o.rejected_),
-      rejected_fifo_(o.rejected_fifo_),
-      recovered_(o.recovered_),
-      last_l1_fill_cycle_(o.last_l1_fill_cycle_),
-      ema_fill_interval_(o.ema_fill_interval_),
-      l2_next_free_(o.l2_next_free_),
-      ports_left_(o.ports_left_),
-      ports_borrowed_(o.ports_borrowed_),
-      demand_accesses_(o.demand_accesses_),
-      prefetch_l1_fills_(o.prefetch_l1_fills_),
-      finalized_(o.finalized_) {
+    : HierarchyState(o) {
   if (o.owned_filter_ == nullptr) {
     throw std::runtime_error(
         "MemoryHierarchy: cannot clone a hierarchy using an external filter");
   }
-  owned_filter_ = o.owned_filter_->clone_rebound(l1d_);
-  if (owned_filter_ == nullptr) {
-    throw std::runtime_error(std::string("filter '") +
-                             o.owned_filter_->name() +
-                             "' does not support clone_rebound");
-  }
+  owned_filter_ = require_clone(o.owned_filter_->clone_rebound(l1d_), "filter",
+                                o.owned_filter_->name());
   active_filter_ = owned_filter_.get();
+  for (std::size_t i = 0; i < o.prefetcher_.num_children(); ++i) {
+    const prefetch::Prefetcher& p = o.prefetcher_.child(i);
+    prefetcher_.add(
+        require_clone(p.clone_rebound(l1d_, l2_), "prefetcher", p.name()));
+  }
 }
 
 void MemoryHierarchy::attach_obs(obs::Recorder& rec) {
@@ -108,12 +98,12 @@ void MemoryHierarchy::attach_obs(obs::Recorder& rec) {
   mshr_.register_obs(reg, "mshr");
   active_filter_->register_obs(reg, "filter");
   prefetcher_.register_obs(reg, "prefetch");
-  if (buffer_ != nullptr) {
-    const mem::PrefetchBuffer* b = buffer_.get();
+  if (buffer_) {
+    const mem::LineBuffer* b = &*buffer_;
     reg.add_counter("pfbuf.hits", [b] { return b->hits(); });
   }
-  if (victim_ != nullptr) {
-    const mem::VictimCache* v = victim_.get();
+  if (victim_) {
+    const mem::LineBuffer* v = &*victim_;
     reg.add_counter("victim.hits", [v] { return v->hits(); });
   }
   reg.add_counter("classifier.issued",
@@ -138,7 +128,7 @@ void MemoryHierarchy::attach_obs(obs::Recorder& rec) {
 
 std::uint64_t MemoryHierarchy::unclassified_pib() const {
   std::uint64_t n = l1d_.pib_lines() + l2_.pib_lines();
-  if (buffer_ != nullptr) n += buffer_->size();
+  if (buffer_) n += buffer_->size();
   return n;
 }
 
@@ -154,8 +144,8 @@ void MemoryHierarchy::attach_checks(check::Checker& chk) {
   mshr_.register_checks(reg, "mshr");
   active_filter_->register_checks(reg, "filter");
   prefetcher_.register_checks(reg, "prefetch");
-  if (buffer_ != nullptr) buffer_->register_checks(reg, "pfbuf");
-  if (victim_ != nullptr) victim_->register_checks(reg, "victim");
+  if (buffer_) buffer_->register_checks(reg, "pfbuf");
+  if (victim_) victim_->register_checks(reg, "victim");
   // A snapshot clone attaches with warm, not-yet-classified prefetched
   // lines already resident; they are part of the starting balance.
   baseline_unclassified_ = unclassified_pib();
@@ -216,7 +206,7 @@ bool MemoryHierarchy::try_reserve_port(Cycle) {
 
 bool MemoryHierarchy::line_resident(LineAddr line) const {
   if (l1d_.contains(l1d_.base_of(line))) return true;
-  if (buffer_ != nullptr && buffer_->contains(line)) return true;
+  if (buffer_ && buffer_->contains(line)) return true;
   return false;
 }
 
@@ -231,7 +221,7 @@ void MemoryHierarchy::handle_eviction(Cycle now, const mem::Eviction& ev) {
     active_filter_->feedback(
         filter::FilterFeedback{ev.line, ev.trigger_pc, ev.rib, ev.source});
   }
-  if (victim_ != nullptr) {
+  if (victim_) {
     // The PIB/RIB verdict above is final; the victim cache just gives the
     // data a second chance, so a recalled line returns as demand data.
     // Dirty data is written back eagerly so a silent LRU drop from the
@@ -358,8 +348,8 @@ Cycle MemoryHierarchy::demand_access(Cycle now, Pc pc, Addr addr,
     if (cfg_.enable_taxonomy) taxonomy_.on_demand_miss(line);
 
     // Victim-cache probe: a recent conflict eviction comes straight back.
-    if (victim_ != nullptr) {
-      if (const auto vc = victim_->recall(line)) {
+    if (victim_) {
+      if (const auto vc = victim_->take(line)) {
         mem::FillInfo back;
         back.dirty = vc->dirty || is_store;
         if (auto ev = l1d_.fill(addr, back)) handle_eviction(now, *ev);
@@ -371,10 +361,10 @@ Cycle MemoryHierarchy::demand_access(Cycle now, Pc pc, Addr addr,
     }
 
     std::optional<mem::Eviction> promoted;
-    if (buffer_ != nullptr) promoted = buffer_->probe_and_remove(line);
+    if (buffer_) promoted = buffer_->take(line);
     if (promoted.has_value()) {
-      // Prefetch-buffer hit: the prefetch proved good; promote into L1 as
-      // a demand-resident line.
+      // Prefetch-buffer hit: the prefetch proved good (whatever the stored
+      // record's RIB says); promote into L1 as a demand-resident line.
       classifier_.record_outcome(promoted->source, true);
       PPF_OBS_EVENT(obs_, obs::EventKind::FirstUse, now, line, pc,
                     promoted->source);
@@ -495,15 +485,17 @@ void MemoryHierarchy::end_cycle(Cycle now) {
       // Structural pollution avoidance: stage the data in the L2 only.
       fetch_from_l2(now, e->trigger_pc, addr, /*is_prefetch=*/true,
                     /*fill_l1=*/false, info, AccessType::Prefetch);
-    } else if (buffer_ != nullptr) {
-      // Dedicated-buffer mode: fetch the data but fill the buffer.
+    } else if (buffer_) {
+      // Dedicated-buffer mode: fetch the data but fill the buffer. The
+      // record is a prefetch not yet referenced, so the one it displaces
+      // is a prefetch never referenced: a bad one.
       fetch_from_l2(now, e->trigger_pc, addr, /*is_prefetch=*/true,
                     /*fill_l1=*/false, info, AccessType::Prefetch);
       PPF_OBS_EVENT(obs_, obs::EventKind::Fill, now, e->line, e->trigger_pc,
                     e->source);
-      if (auto ev = buffer_->insert(e->line, e->trigger_pc, e->source)) {
-        handle_eviction(now, *ev);
-      }
+      const mem::Eviction rec{e->line, /*dirty=*/false, /*pib=*/true,
+                              /*rib=*/false, e->trigger_pc, e->source};
+      if (auto ev = buffer_->insert(rec)) handle_eviction(now, *ev);
     } else {
       fetch_from_l2(now, e->trigger_pc, addr, /*is_prefetch=*/true,
                     /*fill_l1=*/true, info, AccessType::Prefetch);
@@ -530,11 +522,11 @@ void MemoryHierarchy::reset_stats() {
   bus_.reset_stats();
   dram_.reset_stats();
   pq_.reset_stats();
-  if (buffer_ != nullptr) buffer_->reset_stats();
+  if (buffer_) buffer_->reset_stats();
   classifier_.reset();
   taxonomy_.reset();
   mshr_.reset_stats();
-  if (victim_ != nullptr) victim_->reset_stats();
+  if (victim_) victim_->reset_stats();
   load_latency_.reset();
   active_filter_->reset_stats();
   demand_accesses_ = 0;
@@ -565,7 +557,7 @@ void MemoryHierarchy::finalize() {
     }
   }
   if (cfg_.enable_taxonomy) taxonomy_.finalize();
-  if (buffer_ != nullptr) {
+  if (buffer_) {
     for (const mem::Eviction& ev : buffer_->drain()) {
       classifier_.record_outcome(ev.source, ev.rib);
       PPF_OBS_EVENT(obs_,

@@ -1,11 +1,20 @@
 // The full memory system of Figure 3: L1 I/D, unified L2, memory bus,
 // DRAM, the hardware prefetch generators, the prefetch queue, the
-// optional dedicated prefetch buffer, and — between the prefetch sources
-// and the queue — the cache pollution filter.
+// optional dedicated prefetch buffer and victim cache (both a
+// mem::LineBuffer), and — between the prefetch sources and the queue —
+// the cache pollution filter.
+//
+// A warmup snapshot resumes from a copy of the hierarchy. Its state lives
+// in HierarchyState, which the copy constructor takes whole from the
+// implicit copy; MemoryHierarchy itself holds only what a copy must not
+// share with its original: the filter and prefetchers, which point into
+// the caches and are cloned rebound to the copy's own, and the observers
+// a run attaches.
 #pragma once
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -17,10 +26,9 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "common/stats.hpp"
+#include "mem/line_buffer.hpp"
 #include "mem/mshr.hpp"
-#include "mem/prefetch_buffer.hpp"
 #include "mem/prefetch_queue.hpp"
-#include "mem/victim_cache.hpp"
 #include "obs/recorder.hpp"
 #include "prefetch/composite.hpp"
 #include "sim/classifier.hpp"
@@ -30,7 +38,57 @@
 
 namespace ppf::sim {
 
-class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
+/// Every member of MemoryHierarchy that a copy takes as it is. Add warm
+/// state here, where the implicit copy cannot forget it.
+struct HierarchyState {
+  explicit HierarchyState(const SimConfig& cfg);
+
+  SimConfig cfg_;
+  mem::Cache l1d_;
+  mem::Cache l1i_;
+  mem::Cache l2_;
+  mem::Bus bus_;
+  mem::Dram dram_;
+  mem::PrefetchQueue pq_;
+  std::optional<mem::LineBuffer> buffer_;  ///< dedicated prefetch buffer
+  std::optional<mem::LineBuffer> victim_;  ///< victim cache
+  mem::MshrFile mshr_;
+  Histogram load_latency_{16, 32};
+  PrefetchClassifier classifier_;
+  TaxonomyTracker taxonomy_;
+
+  /// Lines whose fill has been initiated but whose data arrives later.
+  InFlightMap in_flight_;
+
+  /// FIFO buffer of recently rejected prefetches (line -> candidate).
+  /// Entries are also bounded in *time*: a rejection only counts as
+  /// "wrongly filtered" if the demand miss arrives within the line's
+  /// estimated would-have-been L1 residence time — a demand that arrives
+  /// later would have found the prefetched line already evicted, i.e. the
+  /// prefetch really was bad.
+  struct RejectedEntry {
+    Pc trigger_pc = 0;
+    PrefetchSource source = PrefetchSource::Software;
+    Cycle reject_cycle = 0;
+  };
+  FlatHashMap<RejectedEntry> rejected_;
+  std::deque<LineAddr> rejected_fifo_;
+  std::uint64_t recovered_ = 0;
+  Cycle last_l1_fill_cycle_ = 0;
+  double ema_fill_interval_ = 16.0;
+  Cycle l2_next_free_ = 0;
+
+  std::uint32_t ports_left_ = 0;
+  std::uint32_t ports_borrowed_ = 0;  ///< ports prefetches occupy next cycle
+
+  std::uint64_t demand_accesses_ = 0;
+  std::uint64_t prefetch_l1_fills_ = 0;
+  bool finalized_ = false;
+};
+
+class MemoryHierarchy final : public core::DataMemory,
+                              public core::InstMemory,
+                              private HierarchyState {
  public:
   /// `external_filter` (non-owning, may be null) replaces the
   /// config-selected filter — used by flows where the filter must outlive
@@ -38,13 +96,13 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
   explicit MemoryHierarchy(const SimConfig& cfg,
                            filter::PollutionFilter* external_filter = nullptr);
 
-  /// Deep copy for warmup-snapshot reuse: caches, DRAM, queues, the
-  /// prefetchers and the pollution filter are all copied with their warm
-  /// state, and every internal cross-reference (prefetcher -> cache,
-  /// filter -> cache) is rebound to the copy's own components. Throws
-  /// std::runtime_error when the hierarchy cannot be cloned: it holds an
-  /// external (caller-owned) filter, or a prefetcher/filter that does not
-  /// implement clone_rebound.
+  /// Deep copy for warmup-snapshot reuse: the implicit copy of every
+  /// HierarchyState member, plus clones of the pollution filter and the
+  /// prefetchers with their warm state, rebound to the copy's caches. No
+  /// recorder or checker is attached. Throws std::runtime_error when the
+  /// hierarchy cannot be cloned: it holds an external (caller-owned)
+  /// filter, or a prefetcher/filter that does not implement
+  /// clone_rebound.
   MemoryHierarchy(const MemoryHierarchy& o);
   MemoryHierarchy& operator=(const MemoryHierarchy&) = delete;
 
@@ -79,11 +137,11 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
   [[nodiscard]] const mem::Bus& bus() const { return bus_; }
   [[nodiscard]] const mem::Dram& dram() const { return dram_; }
   [[nodiscard]] const mem::PrefetchQueue& prefetch_queue() const { return pq_; }
-  [[nodiscard]] const mem::PrefetchBuffer* prefetch_buffer() const {
-    return buffer_.get();
+  [[nodiscard]] const mem::LineBuffer* prefetch_buffer() const {
+    return buffer_ ? &*buffer_ : nullptr;
   }
-  [[nodiscard]] const mem::VictimCache* victim_cache() const {
-    return victim_.get();
+  [[nodiscard]] const mem::LineBuffer* victim_cache() const {
+    return victim_ ? &*victim_ : nullptr;
   }
   [[nodiscard]] const mem::MshrFile& mshr() const { return mshr_; }
   /// Demand-load latency distribution (16-cycle buckets).
@@ -157,23 +215,6 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
     return in_flight_.in_flight(now, line);
   }
 
-  SimConfig cfg_;
-  mem::Cache l1d_;
-  mem::Cache l1i_;
-  mem::Cache l2_;
-  mem::Bus bus_;
-  mem::Dram dram_;
-  mem::PrefetchQueue pq_;
-  std::unique_ptr<mem::PrefetchBuffer> buffer_;
-  std::unique_ptr<mem::VictimCache> victim_;
-  mem::MshrFile mshr_;
-  Histogram load_latency_{16, 32};
-  prefetch::CompositePrefetcher prefetcher_;
-  std::unique_ptr<filter::PollutionFilter> owned_filter_;
-  filter::PollutionFilter* active_filter_;  ///< owned_filter_ or external
-  PrefetchClassifier classifier_;
-  TaxonomyTracker taxonomy_;
-
   /// Record a rejected prefetch for possible recovery; check a demand
   /// miss against the recovery buffer.
   void note_rejected(Cycle now, const filter::PrefetchCandidate& c);
@@ -182,41 +223,19 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
   /// Estimated L1D residence time of a line, from the fill-interval EMA.
   [[nodiscard]] Cycle estimated_residence() const;
 
-  /// Lines whose fill has been initiated but whose data arrives later.
-  InFlightMap in_flight_;
+  /// Prefetched lines resident (and therefore not yet classified) across
+  /// the whole hierarchy: L1D + L2 PIB lines plus the dedicated buffer.
+  [[nodiscard]] std::uint64_t unclassified_pib() const;
 
-  /// FIFO buffer of recently rejected prefetches (line -> candidate).
-  /// Entries are also bounded in *time*: a rejection only counts as
-  /// "wrongly filtered" if the demand miss arrives within the line's
-  /// estimated would-have-been L1 residence time — a demand that arrives
-  /// later would have found the prefetched line already evicted, i.e. the
-  /// prefetch really was bad.
-  struct RejectedEntry {
-    Pc trigger_pc = 0;
-    PrefetchSource source = PrefetchSource::Software;
-    Cycle reject_cycle = 0;
-  };
-  FlatHashMap<RejectedEntry> rejected_;
-  std::deque<LineAddr> rejected_fifo_;
-  std::uint64_t recovered_ = 0;
-  Cycle last_l1_fill_cycle_ = 0;
-  double ema_fill_interval_ = 16.0;
-  Cycle l2_next_free_ = 0;
-
-  std::uint32_t ports_left_ = 0;
-  std::uint32_t ports_borrowed_ = 0;  ///< ports prefetches occupy next cycle
-
-  std::uint64_t demand_accesses_ = 0;
-  std::uint64_t prefetch_l1_fills_ = 0;
-  bool finalized_ = false;
+  // Only what a copy must not share with its original; every other
+  // member is in HierarchyState.
+  prefetch::CompositePrefetcher prefetcher_;
+  std::unique_ptr<filter::PollutionFilter> owned_filter_;
+  filter::PollutionFilter* active_filter_;  ///< owned_filter_ or external
 
   /// Observation recorder (non-owning, null when obs is off — the whole
   /// instrumentation is then one pointer test per site).
   obs::Recorder* obs_ = nullptr;
-
-  /// Prefetched lines resident (and therefore not yet classified) across
-  /// the whole hierarchy: L1D + L2 PIB lines plus the dedicated buffer.
-  [[nodiscard]] std::uint64_t unclassified_pib() const;
 
   /// Invariant checker (non-owning, null when check=off — the simulation
   /// then pays one pointer test per cycle).
@@ -226,6 +245,7 @@ class MemoryHierarchy final : public core::DataMemory, public core::InstMemory {
   /// lines stay resident, so the conservation law needs this baseline.
   std::uint64_t baseline_unclassified_ = 0;
 
+  /// Candidates of the current demand access (scratch, not state).
   std::vector<prefetch::PrefetchRequest> scratch_cands_;
 };
 
