@@ -113,15 +113,11 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
   }
   if (arena == nullptr) {
     PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
-    const ProfClock::time_point t0 = ProfClock::now();
-    sim::SimResult result = execute_job(job);
-    if (timings != nullptr) timings->sim_ms = ms_since(t0);
-    return result;
+    return execute_job(job);
   }
   if (timings != nullptr) timings->probe_ms = ms_since(probe_start);
 
   PPF_PROF_SCOPE(cfg_.profiler, obs::ProfScopeId::RunlabSimulate);
-  const ProfClock::time_point sim_start = ProfClock::now();
   if (snap != nullptr) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -132,24 +128,15 @@ sim::SimResult ExecCache::execute(const Job& job, ExecTimings* timings) {
     // rebuilt shorter since); either arena covers this job's window.
     const ArenaPtr& window =
         snap->arena()->size() > arena->size() ? snap->arena() : arena;
-    sim::SimResult result = sim::run_from_snapshot(job.config, *snap, window);
-    if (timings != nullptr) {
-      timings->sim_ms = ms_since(sim_start);
-      timings->snapshot_resume = true;
-    }
-    return result;
+    return sim::run_from_snapshot(job.config, *snap, window);
   }
   workload::TraceCursor cursor(arena);
-  sim::SimResult result;
   if (is_static(job)) {
     // Both phases of the two-phase flow read the one arena.
     workload::TraceCursor measure(arena);
-    result = sim::run_static_filter(job.config, cursor, measure);
-  } else {
-    result = sim::Simulator(job.config).run(cursor);
+    return sim::run_static_filter(job.config, cursor, measure);
   }
-  if (timings != nullptr) timings->sim_ms = ms_since(sim_start);
-  return result;
+  return sim::Simulator(job.config).run(cursor);
 }
 
 ExecCacheStats ExecCache::stats() const {

@@ -50,12 +50,13 @@
 // requests warm is for.
 //
 // A cache that outlives a batch must also be bounded: both stores carry
-// an optional LRU byte budget (trace_cache_mb= / snapshot_cache_mb= in
-// the CLIs). Eviction is invisible in results — a rebuilt arena or
-// snapshot is byte-identical to the evicted one (the generators and the
-// warmup phase are deterministic; guarded by
-// tests/runlab/exec_cache_test.cpp) — it only costs rebuild time, which
-// the eviction counters make observable.
+// an optional LRU byte budget (ppf_serve's trace_cache_mb= /
+// snapshot_cache_mb=; a declared batch drops its artifacts itself).
+// Eviction is invisible in results — a rebuilt arena or snapshot is
+// byte-identical to the evicted one (the generators and the warmup
+// phase are deterministic; guarded by tests/runlab/exec_cache_test.cpp)
+// — it only costs rebuild time, which the eviction counters make
+// observable.
 //
 // Thread safety: fully concurrent. The first caller to need a key builds
 // it; concurrent callers for the same key block on a shared_future while
@@ -104,8 +105,6 @@ struct ExecCacheConfig {
 /// request spans). Never part of results or signatures.
 struct ExecTimings {
   double probe_ms = 0.0;  ///< arena + snapshot cache acquisition
-  double sim_ms = 0.0;    ///< simulation (cold run or snapshot resume)
-  bool snapshot_resume = false;
 };
 
 /// Monotone counters + point-in-time residency. Snapshot via stats();

@@ -114,8 +114,6 @@ RunReport run_jobs(std::vector<Job> jobs, const RunOptions& opts) {
     ExecCacheConfig cc;
     cc.trace_cache = opts.trace_cache;
     cc.warmup_share = opts.warmup_share;
-    cc.trace_budget_bytes = opts.trace_cache_mb << 20;
-    cc.snapshot_budget_bytes = opts.snapshot_cache_mb << 20;
     local_cache = std::make_unique<ExecCache>(cc);
     cache = local_cache.get();
   }

@@ -94,14 +94,10 @@ struct RunOptions {
   /// (tests/sim/snapshot_test.cpp). Requires trace_cache (snapshots
   /// resume from a seekable arena).
   bool warmup_share = true;
-  /// LRU byte budgets for the per-batch caches, in MB; 0 = unbounded.
-  /// Only consulted when `cache` is null (a shared cache carries its own
-  /// budgets). Eviction never changes results — only rebuild time.
-  std::size_t trace_cache_mb = 0;
-  std::size_t snapshot_cache_mb = 0;
   /// Externally owned execution cache shared across run_jobs calls (the
-  /// serve daemon keeps one for its process lifetime). Null = build a
-  /// private cache for this batch from the four knobs above.
+  /// serve daemon keeps one for its process lifetime), with its own
+  /// settings and LRU budgets. Null = build a private, unbudgeted cache
+  /// for this batch from the two knobs above.
   ExecCache* cache = nullptr;
   /// Cooperative cancellation, polled before each job starts. Once it
   /// returns true, unstarted jobs complete immediately as cancelled

@@ -392,8 +392,7 @@ const std::vector<std::string>& ppf_batch_driver_keys() {
       "jobs",        "out",         "csv",          "progress",
       "timeout_ms",  "trace_cache", "warmup_share", "telemetry_json",
       "obs",         "sample_interval", "trace_out", "timeseries_out",
-      "trace_cache_mb", "snapshot_cache_mb", "cancel_after",
-      "help"};
+      "cancel_after", "help"};
   return keys;
 }
 

@@ -94,9 +94,12 @@ TEST(ExecCacheBudget, EvictionIsInvisibleInResults) {
 }
 
 TEST(ExecCacheBudget, TelemetryJsonCarriesEvictionCounters) {
+  ExecCacheConfig budgets;
+  budgets.trace_budget_bytes = std::size_t{1} << 20;
+  budgets.snapshot_budget_bytes = std::size_t{1} << 20;
+  ExecCache cache(budgets);
   RunOptions budgeted = with_workers(1);
-  budgeted.trace_cache_mb = 1;
-  budgeted.snapshot_cache_mb = 1;
+  budgeted.cache = &cache;
   const RunReport rep = run_sweep(eviction_sweep(), budgeted);
   const std::string telemetry = telemetry_to_json(rep);
   EXPECT_NE(telemetry.find("\"trace_evictions\":"), std::string::npos);

@@ -55,10 +55,6 @@ int usage(const char* argv0) {
       << "  warmup_share=0|1 — run warmup once per distinct warmup-relevant "
          "config and clone the warm machine into matching jobs, where two or "
          "more share it (default 1; results identical either way)\n"
-      << "  trace_cache_mb=N — LRU byte budget for resident trace arenas "
-         "(default 0 = unbounded; eviction never changes results)\n"
-      << "  snapshot_cache_mb=N — LRU byte budget for warmup snapshots "
-         "(default 0 = unbounded)\n"
       << "  cancel_after=N  — request shutdown after N completed jobs "
          "(deterministic stand-in for SIGINT/SIGTERM; remaining jobs "
          "become cancelled records, sinks still flush, exit stays 0)\n"
@@ -225,8 +221,6 @@ int main(int argc, char** argv) {
     opts.job_timeout_ms = params.get_double("timeout_ms", 0.0);
     opts.trace_cache = params.get_bool("trace_cache", true);
     opts.warmup_share = params.get_bool("warmup_share", true);
-    opts.trace_cache_mb = params.get_u64("trace_cache_mb", 0);
-    opts.snapshot_cache_mb = params.get_u64("snapshot_cache_mb", 0);
     cancel_after = params.get_u64("cancel_after", 0);
     progress = params.get_string("progress", "auto");
   } catch (const std::exception& e) {
