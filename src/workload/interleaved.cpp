@@ -16,13 +16,12 @@ InterleavedTrace::InterleavedTrace(
     : sources_(std::move(sources)), switch_interval_(switch_interval) {
   PPF_CHECK(!sources_.empty());
   PPF_CHECK(switch_interval_ > 0);
-  name_ = "interleaved(";
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     PPF_CHECK(sources_[i] != nullptr);
     if (i != 0) name_ += "+";
     name_ += sources_[i]->name();
   }
-  name_ += ")";
+  name_ += "/" + std::to_string(switch_interval_);
 }
 
 std::size_t InterleavedTrace::next_batch(TraceColumns out, std::size_t n) {

@@ -27,6 +27,10 @@ class InterleavedTrace final : public TraceSource {
   /// Finite sources: a program that runs out of instructions cedes the
   /// rest of its slice to the next one (each handoff counts as a context
   /// switch); the mix is exhausted only when every source is.
+  ///
+  /// The mix is named as `bench=` names it, PROGRAMS/SLICE
+  /// (`em3d+gzip/2000`), so its name parses back through
+  /// parse_benchmark_name.
   InterleavedTrace(std::vector<std::unique_ptr<TraceSource>> sources,
                    std::uint64_t switch_interval);
 

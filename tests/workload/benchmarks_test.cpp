@@ -83,8 +83,12 @@ TEST(BenchmarkNames, MixNamesItsProgramsAndSlice) {
   const BenchmarkName n = parse_benchmark_name("em3d+gzip+mcf/100000");
   EXPECT_EQ(n.programs, (std::vector<std::string>{"em3d", "gzip", "mcf"}));
   EXPECT_EQ(n.slice, 100'000u);
-  EXPECT_STREQ(make_benchmark("em3d+gzip/7", 1)->name(),
-               "interleaved(em3d+gzip)");
+  EXPECT_STREQ(make_benchmark("em3d+gzip/7", 1)->name(), "em3d+gzip/7");
+  // A mix's printed name parses back to the same mix.
+  const BenchmarkName back = parse_benchmark_name(
+      make_benchmark("em3d+gzip+mcf/100000", 1)->name());
+  EXPECT_EQ(back.programs, n.programs);
+  EXPECT_EQ(back.slice, n.slice);
   std::string eight = "bh";
   for (std::size_t i = 1; i < kMaxMixPrograms; ++i) eight += "+bh";
   EXPECT_EQ(parse_benchmark_name(eight + "/1").programs.size(),

@@ -66,7 +66,7 @@ TEST(Interleaved, SlicesMatchTheUnderlyingPrograms) {
 
 TEST(Interleaved, NamesListMembers) {
   auto mix = make_mix(10);
-  EXPECT_STREQ(mix->name(), "interleaved(bh+mcf)");
+  EXPECT_STREQ(mix->name(), "bh+mcf/10");
 }
 
 TEST(Interleaved, BranchTargetsTagged) {
