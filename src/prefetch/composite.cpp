@@ -45,15 +45,4 @@ void CompositePrefetcher::register_checks(check::CheckRegistry& reg,
   for (const auto& c : children_) c->register_checks(reg, prefix);
 }
 
-std::unique_ptr<Prefetcher> CompositePrefetcher::clone_rebound(
-    mem::Cache& l1, mem::Cache& l2) const {
-  auto copy = std::make_unique<CompositePrefetcher>();
-  for (const auto& c : children_) {
-    auto child = c->clone_rebound(l1, l2);
-    if (!child) return nullptr;
-    copy->children_.push_back(std::move(child));
-  }
-  return copy;
-}
-
 }  // namespace ppf::prefetch

@@ -1,5 +1,7 @@
 // Fan-out container running several prefetchers side by side, as the
 // paper's default configuration does (NSP + SDP + software prefetches).
+// It has no clone_rebound of its own: a cloned MemoryHierarchy fills its
+// composite with clones of the original's children.
 #pragma once
 
 #include <memory>
@@ -35,11 +37,6 @@ class CompositePrefetcher final : public Prefetcher {
   /// Forwards to every child, like register_obs.
   void register_checks(check::CheckRegistry& reg,
                        const std::string& prefix) const override;
-
-  /// Clones every child rebound to the given caches; returns nullptr if
-  /// any child is not cloneable.
-  [[nodiscard]] std::unique_ptr<Prefetcher> clone_rebound(
-      mem::Cache& l1, mem::Cache& l2) const override;
 
  private:
   std::vector<std::unique_ptr<Prefetcher>> children_;

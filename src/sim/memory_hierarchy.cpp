@@ -56,8 +56,8 @@ MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg,
 
 namespace {
 
-/// `clone`, the clone_rebound of the component named `name` (of kind
-/// `kind`); throws std::runtime_error naming it when there is none.
+/// `clone`, a clone_rebound result. Null means the `kind` named `name`
+/// cannot be cloned: throws std::runtime_error naming it.
 template <typename T>
 std::unique_ptr<T> require_clone(std::unique_ptr<T> clone, const char* kind,
                                  const char* name) {
