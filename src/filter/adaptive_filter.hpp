@@ -54,6 +54,8 @@ class AdaptiveFilter final : public PollutionFilter {
   /// Only clone_rebound copies, and it gives the copy its own inner.
   AdaptiveFilter(const AdaptiveFilter&) = default;
 
+  /// Shared only between the implicit copy and clone_rebound's
+  /// replacement of it: no two filters keep one inner.
   std::shared_ptr<PollutionFilter> inner_;
   AdaptiveConfig cfg_;
   bool engaged_ = false;

@@ -104,7 +104,7 @@ class NullFilter final : public PollutionFilter {
   [[nodiscard]] const char* name() const override { return "none"; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::make_unique<NullFilter>(*this);
+    return std::unique_ptr<PollutionFilter>(new NullFilter(*this));
   }
 
  protected:
@@ -125,7 +125,7 @@ class PaFilter final : public PollutionFilter {
   [[nodiscard]] const HistoryTable& table() const { return table_; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::make_unique<PaFilter>(*this);
+    return std::unique_ptr<PollutionFilter>(new PaFilter(*this));
   }
 
  protected:
@@ -152,7 +152,7 @@ class PcFilter final : public PollutionFilter {
   [[nodiscard]] const HistoryTable& table() const { return table_; }
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::make_unique<PcFilter>(*this);
+    return std::unique_ptr<PollutionFilter>(new PcFilter(*this));
   }
 
  protected:

@@ -53,7 +53,7 @@ class PerceptronFilter final : public PollutionFilter {
 
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::make_unique<PerceptronFilter>(*this);
+    return std::unique_ptr<PollutionFilter>(new PerceptronFilter(*this));
   }
 
   [[nodiscard]] const PerceptronConfig& config() const { return cfg_; }

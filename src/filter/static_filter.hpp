@@ -33,7 +33,7 @@ class StaticFilter final : public PollutionFilter {
 
   [[nodiscard]] std::unique_ptr<PollutionFilter> clone_rebound(
       const mem::Cache&) const override {
-    return std::make_unique<StaticFilter>(*this);
+    return std::unique_ptr<PollutionFilter>(new StaticFilter(*this));
   }
 
  protected:

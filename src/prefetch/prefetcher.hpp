@@ -51,9 +51,9 @@ class Prefetcher {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Copy of this prefetcher with every learned bit of state, its cache
-  /// references rebound to `l1`/`l2` (a cloned hierarchy's caches). In-tree
-  /// prefetchers hold their caches as pointers, so this is the implicit
-  /// copy of *this with those pointers re-pointed. Returns nullptr when the prefetcher does not support cloning —
+  /// references rebound to `l1`/`l2` (a cloned hierarchy's caches): the
+  /// implicit copy of *this, with its cache pointers re-pointed.
+  /// Returns nullptr when the prefetcher does not support cloning —
   /// hierarchies containing such a prefetcher cannot be snapshotted for
   /// warmup reuse (they still simulate normally). All in-tree
   /// prefetchers are cloneable.
