@@ -210,17 +210,38 @@ bool MemoryHierarchy::line_resident(LineAddr line) const {
   return false;
 }
 
-void MemoryHierarchy::handle_eviction(Cycle now, const mem::Eviction& ev) {
-  if (ev.pib) {
-    if (cfg_.enable_taxonomy) taxonomy_.on_prefetch_evicted(ev.line);
-    classifier_.record_outcome(ev.source, ev.rib);
-    PPF_OBS_EVENT(obs_,
-                  ev.rib ? obs::EventKind::EvictReferenced
-                         : obs::EventKind::EvictDead,
-                  now, ev.line, ev.trigger_pc, ev.source);
+void MemoryHierarchy::settle_prefetch(Cycle now, const mem::Eviction& ev,
+                                      bool train) {
+  if (!ev.pib) return;
+  classifier_.record_outcome(ev.source, ev.rib);
+  PPF_OBS_EVENT(obs_,
+                ev.rib ? obs::EventKind::EvictReferenced
+                       : obs::EventKind::EvictDead,
+                now, ev.line, ev.trigger_pc, ev.source);
+  if (train) {
     active_filter_->feedback(
         filter::FilterFeedback{ev.line, ev.trigger_pc, ev.rib, ev.source});
   }
+}
+
+void MemoryHierarchy::note_first_use(Cycle now, LineAddr line, Pc pc,
+                                     PrefetchSource source) {
+  PPF_OBS_EVENT(obs_, obs::EventKind::FirstUse, now, line, pc, source);
+  prefetcher_.on_prefetch_used(line, source);
+  if (cfg_.enable_taxonomy) taxonomy_.on_prefetch_used(line);
+}
+
+void MemoryHierarchy::post_writeback(const mem::Eviction& ev,
+                                     std::uint32_t line_bytes) {
+  if (!ev.dirty) return;
+  // Posted writeback: consumes bus bandwidth, does not stall anyone.
+  bus_.transfer(bus_.next_free(), line_bytes, /*is_prefetch=*/false);
+  dram_.writeback();
+}
+
+void MemoryHierarchy::handle_eviction(Cycle now, const mem::Eviction& ev) {
+  if (ev.pib && cfg_.enable_taxonomy) taxonomy_.on_prefetch_evicted(ev.line);
+  settle_prefetch(now, ev, /*train=*/true);
   if (victim_) {
     // The PIB/RIB verdict above is final; the victim cache just gives the
     // data a second chance, so a recalled line returns as demand data.
@@ -228,12 +249,7 @@ void MemoryHierarchy::handle_eviction(Cycle now, const mem::Eviction& ev) {
     // victim cache can never lose it (the recall path restores dirty).
     victim_->insert(ev);
   }
-  if (ev.dirty) {
-    // Posted writeback: consumes bus bandwidth, does not stall anyone.
-    bus_.transfer(bus_.next_free(), cfg_.l1d.line_bytes,
-                  /*is_prefetch=*/false);
-    dram_.writeback();
-  }
+  post_writeback(ev, cfg_.l1d.line_bytes);
 }
 
 Cycle MemoryHierarchy::fetch_from_l2(Cycle now, Pc pc, Addr addr,
@@ -263,19 +279,8 @@ Cycle MemoryHierarchy::fetch_from_l2(Cycle now, Pc pc, Addr addr,
     const mem::FillInfo l2_info =
         (is_prefetch && cfg_.prefetch_to_l2) ? info : mem::FillInfo{};
     if (auto ev2 = l2_.fill(addr, l2_info)) {
-      if (ev2->pib) {
-        classifier_.record_outcome(ev2->source, ev2->rib);
-        PPF_OBS_EVENT(obs_,
-                      ev2->rib ? obs::EventKind::EvictReferenced
-                               : obs::EventKind::EvictDead,
-                      now, ev2->line, ev2->trigger_pc, ev2->source);
-        active_filter_->feedback(filter::FilterFeedback{
-            ev2->line, ev2->trigger_pc, ev2->rib, ev2->source});
-      }
-      if (ev2->dirty) {
-        bus_.transfer(bus_.next_free(), cfg_.l2.line_bytes, false);
-        dram_.writeback();
-      }
+      settle_prefetch(now, *ev2, /*train=*/true);
+      post_writeback(*ev2, cfg_.l2.line_bytes);
     }
     if (l2_info.is_prefetch) {
       // L2-target mode: this L2 allocation is the prefetch's fill.
@@ -329,12 +334,7 @@ Cycle MemoryHierarchy::demand_access(Cycle now, Pc pc, Addr addr,
   Cycle result;
   if (r.hit) {
     if (r.first_use_of_prefetch) {
-      PPF_OBS_EVENT(obs_, obs::EventKind::FirstUse, now, l1d_.line_of(addr),
-                    pc, r.source);
-      prefetcher_.on_prefetch_used(l1d_.line_of(addr), r.source);
-      if (cfg_.enable_taxonomy) {
-        taxonomy_.on_prefetch_used(l1d_.line_of(addr));
-      }
+      note_first_use(now, l1d_.line_of(addr), pc, r.source);
     }
     // A line still in flight (e.g. prefetched but not yet arrived) delays
     // the "hit" until the data is actually there.
@@ -348,32 +348,17 @@ Cycle MemoryHierarchy::demand_access(Cycle now, Pc pc, Addr addr,
     if (cfg_.enable_taxonomy) taxonomy_.on_demand_miss(line);
 
     // Victim-cache probe: a recent conflict eviction comes straight back.
-    if (victim_) {
-      if (const auto vc = victim_->take(line)) {
-        mem::FillInfo back;
-        back.dirty = vc->dirty || is_store;
-        if (auto ev = l1d_.fill(addr, back)) handle_eviction(now, *ev);
-        const Cycle done = now + cfg_.l1d.latency + 1;
-        if (!is_store) load_latency_.record(done - now);
-        route_candidates(now, scratch_cands_);
-        return done;
-      }
-    }
-
-    std::optional<mem::Eviction> promoted;
-    if (buffer_) promoted = buffer_->take(line);
-    if (promoted.has_value()) {
+    if (const auto vc = victim_ ? victim_->take(line) : std::nullopt) {
+      mem::FillInfo back;
+      back.dirty = vc->dirty || is_store;
+      if (auto ev = l1d_.fill(addr, back)) handle_eviction(now, *ev);
+      result = now + cfg_.l1d.latency + 1;
+    } else if (auto pb = buffer_ ? buffer_->take(line) : std::nullopt) {
       // Prefetch-buffer hit: the prefetch proved good (whatever the stored
       // record's RIB says); promote into L1 as a demand-resident line.
-      classifier_.record_outcome(promoted->source, true);
-      PPF_OBS_EVENT(obs_, obs::EventKind::FirstUse, now, line, pc,
-                    promoted->source);
-      PPF_OBS_EVENT(obs_, obs::EventKind::EvictReferenced, now,
-                    promoted->line, promoted->trigger_pc, promoted->source);
-      active_filter_->feedback(filter::FilterFeedback{
-          promoted->line, promoted->trigger_pc, true, promoted->source});
-      prefetcher_.on_prefetch_used(line, promoted->source);
-      if (cfg_.enable_taxonomy) taxonomy_.on_prefetch_used(line);
+      note_first_use(now, line, pc, pb->source);
+      pb->rib = true;
+      settle_prefetch(now, *pb, /*train=*/true);
       if (auto ev = l1d_.fill(addr, mem::FillInfo{})) handle_eviction(now, *ev);
       result = now + cfg_.l1d.latency;
     } else {
@@ -546,35 +531,21 @@ void MemoryHierarchy::finalize() {
   // Drain events carry the last simulated cycle (deterministic; there is
   // no "after the end" cycle to attribute them to).
   const Cycle end = obs_ != nullptr ? obs_->last_cycle() : 0;
+  // The drains train no filter: the program never judged a line still
+  // resident, and the static filter's profile phase ends in a drain.
   for (const mem::Eviction& ev : l1d_.drain()) {
-    if (ev.pib) {
-      if (cfg_.enable_taxonomy) taxonomy_.on_prefetch_evicted(ev.line);
-      classifier_.record_outcome(ev.source, ev.rib);
-      PPF_OBS_EVENT(obs_,
-                    ev.rib ? obs::EventKind::EvictReferenced
-                           : obs::EventKind::EvictDead,
-                    end, ev.line, ev.trigger_pc, ev.source);
-    }
+    settle_prefetch(end, ev, /*train=*/false);
   }
+  // The taxonomy classifies every L1D prefetch it still tracks.
   if (cfg_.enable_taxonomy) taxonomy_.finalize();
   if (buffer_) {
     for (const mem::Eviction& ev : buffer_->drain()) {
-      classifier_.record_outcome(ev.source, ev.rib);
-      PPF_OBS_EVENT(obs_,
-                    ev.rib ? obs::EventKind::EvictReferenced
-                           : obs::EventKind::EvictDead,
-                    end, ev.line, ev.trigger_pc, ev.source);
+      settle_prefetch(end, ev, /*train=*/false);
     }
   }
   if (cfg_.prefetch_to_l2) {
     for (const mem::Eviction& ev : l2_.drain()) {
-      if (ev.pib) {
-        classifier_.record_outcome(ev.source, ev.rib);
-        PPF_OBS_EVENT(obs_,
-                      ev.rib ? obs::EventKind::EvictReferenced
-                             : obs::EventKind::EvictDead,
-                      end, ev.line, ev.trigger_pc, ev.source);
-      }
+      settle_prefetch(end, ev, /*train=*/false);
     }
   }
 }

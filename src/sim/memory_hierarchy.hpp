@@ -198,7 +198,20 @@ class MemoryHierarchy final : public core::DataMemory,
   void route_candidates(Cycle now,
                         std::span<const prefetch::PrefetchRequest> cands);
 
-  /// Process one L1/buffer eviction: classify, feed the filter, write back.
+  /// Settle a prefetched line's PIB/RIB verdict: count it in the
+  /// classifier, emit its EvictReferenced/EvictDead event and, when
+  /// `train`, feed it to the filter. Lines without a PIB have none.
+  void settle_prefetch(Cycle now, const mem::Eviction& ev, bool train);
+
+  /// A prefetched line's first demand use: its FirstUse event, the
+  /// prefetcher's feedback and the taxonomy.
+  void note_first_use(Cycle now, LineAddr line, Pc pc, PrefetchSource source);
+
+  /// Post a dirty victim's writeback to the bus and DRAM.
+  void post_writeback(const mem::Eviction& ev, std::uint32_t line_bytes);
+
+  /// An L1 victim: its verdict and taxonomy, a victim-cache slot, its
+  /// writeback.
   void handle_eviction(Cycle now, const mem::Eviction& ev);
 
   /// True if the line is resident anywhere a prefetch would be redundant.
