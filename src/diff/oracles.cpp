@@ -73,12 +73,9 @@ OracleOutcome repeat_determinism(OracleContext& ctx) {
 OracleOutcome stream_vs_arena(OracleContext& ctx) {
   if (ctx.is_static_filter()) return not_applicable();
   const sim::SimConfig& cfg = ctx.config();
-  const std::uint64_t warmup =
-      cfg.warmup_instructions < cfg.max_instructions ? cfg.warmup_instructions
-                                                     : 0;
   auto gen = workload::make_benchmark(ctx.point().benchmark, cfg.seed);
   const auto arena =
-      workload::materialize(*gen, cfg.max_instructions + warmup);
+      workload::materialize(*gen, cfg.max_instructions + cfg.active_warmup());
   workload::TraceCursor cursor(arena);
   const sim::SimResult warm = sim::Simulator(cfg).run(cursor);
   return compare_signatures("streaming vs arena runs",
@@ -313,8 +310,7 @@ OracleOutcome l1_bigger_no_more_misses(OracleContext& ctx) {
 OracleOutcome issued_classified(OracleContext& ctx) {
   const sim::SimResult& r = ctx.baseline();
   const sim::SimConfig& cfg = ctx.config();
-  const bool warm = cfg.warmup_instructions > 0 &&
-                    cfg.warmup_instructions < cfg.max_instructions;
+  const bool warm = cfg.active_warmup() > 0;
   const std::uint64_t classified = r.good_total() + r.bad_total();
   const bool conserved = warm ? classified >= r.prefetch_issued.total()
                               : classified == r.prefetch_issued.total();

@@ -13,12 +13,6 @@ namespace ppf::runlab {
 
 namespace {
 
-std::uint64_t active_warmup(const sim::SimConfig& cfg) {
-  return cfg.warmup_instructions < cfg.max_instructions
-             ? cfg.warmup_instructions
-             : 0;
-}
-
 using ProfClock = std::chrono::steady_clock;
 
 double ms_since(ProfClock::time_point t0) {
@@ -48,7 +42,7 @@ ExecCache::ExecCache(const ExecCacheConfig& cfg)
            cfg.snapshot_budget_bytes, cfg.profiler} {}
 
 std::size_t ExecCache::needed_records(const Job& job) {
-  return job.config.max_instructions + active_warmup(job.config);
+  return job.config.max_instructions + job.config.active_warmup();
 }
 
 std::string ExecCache::trace_key(const Job& job) {
@@ -60,7 +54,7 @@ std::string ExecCache::snapshot_key(const Job& job) {
 }
 
 bool ExecCache::shares_warmup(const Job& job) const {
-  return cfg_.warmup_share && active_warmup(job.config) > 0 &&
+  return cfg_.warmup_share && job.config.active_warmup() > 0 &&
          !is_static(job);
 }
 

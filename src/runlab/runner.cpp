@@ -95,10 +95,7 @@ RunReport run_jobs(std::vector<Job> jobs, const RunOptions& opts) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       hb_slots[i].store(0, std::memory_order_relaxed);
       const sim::SimConfig& c = jobs[i].config;
-      const std::uint64_t warmup =
-          c.warmup_instructions < c.max_instructions ? c.warmup_instructions
-                                                     : 0;
-      hb_expected[i] = c.max_instructions + warmup;
+      hb_expected[i] = c.max_instructions + c.active_warmup();
       expected_total += hb_expected[i];
       jobs[i].config.obs.heartbeat_slot = &hb_slots[i];
     }

@@ -153,6 +153,13 @@ struct SimConfig {
   std::uint64_t warmup_instructions = 500'000;
   std::uint64_t seed = 42;
 
+  /// The warmup a run performs: warmup_instructions, or none when it does
+  /// not fit under max_instructions. A run dispatches max_instructions
+  /// plus this many.
+  [[nodiscard]] std::uint64_t active_warmup() const {
+    return warmup_instructions < max_instructions ? warmup_instructions : 0;
+  }
+
   /// Paper's Table 1 machine. `l1d_kb` selects the L1 size study
   /// (Section 5.2.2 uses 32KB with a 4-cycle latency).
   static SimConfig paper_default();

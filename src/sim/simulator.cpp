@@ -12,12 +12,10 @@ namespace ppf::sim {
 
 void maybe_inject_fault(const SimConfig& cfg) {
   if (cfg.diff_fail_at == 0) return;
-  const std::uint64_t warmup =
-      cfg.warmup_instructions < cfg.max_instructions ? cfg.warmup_instructions
-                                                     : 0;
-  if (cfg.max_instructions + warmup >= cfg.diff_fail_at) {
+  const std::uint64_t total = cfg.max_instructions + cfg.active_warmup();
+  if (total >= cfg.diff_fail_at) {
     throw std::runtime_error("diff_fail_at tripwire: injected fault (run of " +
-                             std::to_string(cfg.max_instructions + warmup) +
+                             std::to_string(total) +
                              " instructions >= " +
                              std::to_string(cfg.diff_fail_at) + ")");
   }
@@ -47,37 +45,37 @@ std::unique_ptr<core::CoreEngine> make_sim_engine(const SimConfig& cfg,
   return std::make_unique<core::OooCore<MemoryHierarchy>>(cfg.core, mem);
 }
 
+RunObservers attach_run_observers(const SimConfig& cfg, MemoryHierarchy& mem,
+                                  core::CoreEngine& engine) {
+  RunObservers o;
+  if (cfg.obs.enabled) {
+    o.rec = std::make_unique<obs::Recorder>(cfg.obs);
+    mem.attach_obs(*o.rec);
+    engine.register_obs(o.rec->registry());
+  }
+  if (cfg.check.mode != check::CheckMode::Off) {
+    o.chk = std::make_unique<check::Checker>(cfg.check);
+    mem.attach_checks(*o.chk);
+    engine.register_checks(o.chk->registry());
+  }
+  // Heartbeats are independent of the obs switch: runlab progress wants
+  // them even for plain (obs-off) jobs.
+  if (cfg.obs.heartbeat_slot != nullptr) {
+    engine.set_heartbeat(cfg.obs.heartbeat_slot);
+  }
+  return o;
+}
+
 Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg)) {}
 
 SimResult Simulator::run(workload::TraceSource& trace,
                          filter::PollutionFilter* external_filter) {
   maybe_inject_fault(cfg_);
   MemoryHierarchy mem(cfg_, external_filter);
-
-  std::unique_ptr<obs::Recorder> rec;
-  if (cfg_.obs.enabled) {
-    rec = std::make_unique<obs::Recorder>(cfg_.obs);
-    mem.attach_obs(*rec);
-  }
-  std::unique_ptr<check::Checker> chk;
-  if (cfg_.check.mode != check::CheckMode::Off) {
-    chk = std::make_unique<check::Checker>(cfg_.check);
-    mem.attach_checks(*chk);
-  }
-
-  const std::uint64_t warmup =
-      cfg_.warmup_instructions < cfg_.max_instructions
-          ? cfg_.warmup_instructions
-          : 0;
-  const auto on_warmup = [&mem] { mem.reset_stats(); };
   const auto engine = make_sim_engine(cfg_, mem);
-  if (rec != nullptr) engine->register_obs(rec->registry());
-  if (chk != nullptr) engine->register_checks(chk->registry());
-  // Heartbeats are independent of the obs switch: runlab progress wants
-  // them even for plain (obs-off) jobs.
-  if (cfg_.obs.heartbeat_slot != nullptr) {
-    engine->set_heartbeat(cfg_.obs.heartbeat_slot);
-  }
+  const RunObservers observers = attach_run_observers(cfg_, mem, *engine);
+  const std::uint64_t warmup = cfg_.active_warmup();
+  const auto on_warmup = [&mem] { mem.reset_stats(); };
   const core::CoreResult core = engine->run(
       trace, cfg_.max_instructions + warmup, warmup, on_warmup);
   return collect_result(cfg_, mem, core, trace.name());

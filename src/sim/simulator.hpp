@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "check/check.hpp"
 #include "core/engine.hpp"
 #include "obs/recorder.hpp"
 #include "sim/classifier.hpp"
@@ -84,6 +85,21 @@ class MemoryHierarchy;
 /// hierarchy.
 [[nodiscard]] std::unique_ptr<core::CoreEngine> make_sim_engine(
     const SimConfig& cfg, MemoryHierarchy& mem);
+
+/// The recorder and the checker a run's config asks for, each null when
+/// off. Both must outlive the run's collect_result.
+struct RunObservers {
+  std::unique_ptr<obs::Recorder> rec;
+  std::unique_ptr<check::Checker> chk;
+};
+
+/// Build the recorder and the checker `cfg` asks for, register each with
+/// `mem` and then `engine` (time-series columns and obs digests follow
+/// that order), and wire the engine's heartbeat. Shared by the cold path
+/// and the snapshot resume, which calls it before its stats reset.
+[[nodiscard]] RunObservers attach_run_observers(const SimConfig& cfg,
+                                                MemoryHierarchy& mem,
+                                                core::CoreEngine& engine);
 
 /// Fault-injection test hook: throws std::runtime_error when
 /// cfg.diff_fail_at is non-zero and the run would dispatch at least that

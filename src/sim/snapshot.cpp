@@ -51,9 +51,7 @@ std::size_t WarmupSnapshot::estimated_bytes() const {
 std::shared_ptr<const WarmupSnapshot> make_warmup_snapshot(
     const SimConfig& cfg,
     std::shared_ptr<const workload::MaterializedTrace> arena) {
-  const std::uint64_t warmup =
-      cfg.warmup_instructions < cfg.max_instructions ? cfg.warmup_instructions
-                                                     : 0;
+  const std::uint64_t warmup = cfg.active_warmup();
   if (warmup == 0 || arena == nullptr || arena->size() < warmup) {
     return nullptr;
   }
@@ -89,26 +87,10 @@ SimResult run_from_snapshot(
   const auto engine = snap.engine_->clone_rebound(mem, mem, cursor);
   PPF_CHECK(engine != nullptr);
 
-  // Attach a fresh recorder before the stats reset so the reset doubles
-  // as the obs baseline capture — the exact point the cold path samples.
-  std::unique_ptr<obs::Recorder> rec;
-  if (cfg.obs.enabled) {
-    rec = std::make_unique<obs::Recorder>(cfg.obs);
-    mem.attach_obs(*rec);
-    engine->register_obs(rec->registry());
-  }
-  // Same for the checker: attaching before reset_stats captures the
-  // conservation baseline at the identical mid-cycle point as the cold
-  // path's warmup-boundary reset.
-  std::unique_ptr<check::Checker> chk;
-  if (cfg.check.mode != check::CheckMode::Off) {
-    chk = std::make_unique<check::Checker>(cfg.check);
-    mem.attach_checks(*chk);
-    engine->register_checks(chk->registry());
-  }
-  if (cfg.obs.heartbeat_slot != nullptr) {
-    engine->set_heartbeat(cfg.obs.heartbeat_slot);
-  }
+  // Attach a fresh recorder and checker before the stats reset, so the
+  // reset doubles as the obs baseline capture and the conservation
+  // baseline, at the exact mid-cycle point the cold path samples both.
+  const RunObservers observers = attach_run_observers(cfg, mem, *engine);
 
   // Same sequence the cold path runs at the boundary: statistics reset,
   // then the measurement window opens, then the run completes.

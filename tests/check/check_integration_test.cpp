@@ -43,10 +43,8 @@ sim::SimConfig grid_config(std::string kind) {
 sim::SimResult run_once(const sim::SimConfig& cfg, const std::string& bench,
                         bool warmup_share = false) {
   auto src = workload::make_benchmark(bench, cfg.seed);
-  const std::uint64_t warmup =
-      cfg.warmup_instructions < cfg.max_instructions ? cfg.warmup_instructions
-                                                     : 0;
-  const auto arena = workload::materialize(*src, cfg.max_instructions + warmup);
+  const auto arena =
+      workload::materialize(*src, cfg.max_instructions + cfg.active_warmup());
   if (warmup_share) {
     const auto snap = sim::make_warmup_snapshot(cfg, arena);
     EXPECT_NE(snap, nullptr);
