@@ -11,7 +11,6 @@
 // "ppf.tournament.v1" JSON document, which is byte-identical for any
 // jobs= value. Remaining key=value args configure the base machine.
 #include <fstream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "diff/signature.hpp"
@@ -19,20 +18,6 @@
 #include "runlab/tournament.hpp"
 
 using namespace ppf;
-
-namespace {
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   runlab::TournamentSpec spec;

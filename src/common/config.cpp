@@ -70,6 +70,18 @@ bool ParamMap::has(std::string_view key) const {
   return entries_.find(std::string(key)) != entries_.end();
 }
 
+std::vector<std::string> split_list(std::string_view text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t end = text.find(sep, start);
+    if (end == std::string_view::npos) end = text.size();
+    if (end > start) out.emplace_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return out;
+}
+
 std::optional<std::uint64_t> parse_u64(const std::string& text) {
   // std::stoull accepts a leading '-' and silently wraps it modulo 2^64
   // ("-1" -> 18446744073709551615), which is never what a knob override

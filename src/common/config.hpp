@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace ppf {
 
@@ -18,6 +19,11 @@ namespace ppf {
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
 [[nodiscard]] std::optional<double> parse_double(const std::string& text);
 [[nodiscard]] std::optional<bool> parse_bool(const std::string& text);
+
+/// The items of a `sep`-separated list, empty ones dropped:
+/// split_list(",a,,b,") is {"a", "b"}.
+[[nodiscard]] std::vector<std::string> split_list(std::string_view text,
+                                                  char sep = ',');
 
 /// Parses "key=value" tokens (argv style) into a typed lookup map.
 ///

@@ -3,6 +3,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "common/config.hpp"
+
 namespace ppf::registry {
 
 // Defined in registry/builtin.cpp; declared here (not in the header) so
@@ -227,13 +229,8 @@ std::string replacement_key(mem::ReplacementKind kind) {
 std::vector<std::string> parse_prefetcher_list(const std::string& csv) {
   ensure_builtins();
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t end = csv.find(',', start);
-    if (end == std::string::npos) end = csv.size();
-    const std::string name = csv.substr(start, end - start);
-    start = end + 1;
-    if (name.empty()) continue;  // tolerate "", "nsp,", ",sdp"
+  // split_list drops empty items, so "", "nsp," and ",sdp" are tolerated.
+  for (const std::string& name : split_list(csv)) {
     if (!tables().prefetchers.has(name)) {
       throw std::invalid_argument("unknown prefetcher '" + name +
                                   "' (valid: " +

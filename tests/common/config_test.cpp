@@ -112,5 +112,14 @@ TEST(ParamMap, FromStringSplitsOnWhitespaceAndKeepsTheTokenRule) {
                std::invalid_argument);
 }
 
+TEST(SplitList, DropsEmptyItemsAndKeepsOrder) {
+  using V = std::vector<std::string>;
+  EXPECT_EQ(split_list("mcf,em3d"), (V{"mcf", "em3d"}));
+  EXPECT_EQ(split_list(",mcf,,em3d,"), (V{"mcf", "em3d"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(",,").empty());
+  EXPECT_EQ(split_list("a=1 b=2;;c=3", ';'), (V{"a=1 b=2", "c=3"}));
+}
+
 }  // namespace
 }  // namespace ppf

@@ -14,7 +14,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,16 +85,6 @@ int usage(const char* argv0) {
             << "\nmachine keys:\n";
   sim::print_override_keys(std::cerr);
   return 2;
-}
-
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 // Exit status: 0 all oracles held, 1 violations (or an internal error),
 // 2 usage error. See docs/DIFF.md.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,16 +49,6 @@ int usage(const char* argv0) {
       << "  trial=N         print the point trial N samples, then exit\n"
       << "  list=0|1        print the oracle catalogue, then exit\n";
   return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream is(s);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 const std::vector<std::string>& driver_keys() {
@@ -108,10 +97,10 @@ int main(int argc, char** argv) {
     opts.shrink_budget = params.get_u64("shrink_budget", opts.shrink_budget);
     opts.tripwire = params.get_bool("tripwire", opts.tripwire);
     if (params.has("oracle")) {
-      opts.only_oracles = split_csv(params.get_string("oracle", ""));
+      opts.only_oracles = split_list(params.get_string("oracle", ""));
     }
     if (params.has("bench")) {
-      opts.sample.benchmarks = split_csv(params.get_string("bench", ""));
+      opts.sample.benchmarks = split_list(params.get_string("bench", ""));
       if (opts.sample.benchmarks.empty()) {
         std::cerr << "bench= needs at least one name\n\n";
         return usage(argv[0]);

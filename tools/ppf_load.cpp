@@ -14,7 +14,6 @@
 // seen — the soak gate CI relies on.
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,16 +87,6 @@ int run_scrape(const serve::LoadOptions& opts, const std::string& verb) {
   return 0;
 }
 
-std::vector<std::string> split_configs(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ';')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,7 +123,7 @@ int main(int argc, char** argv) {
     scrape = params.get_string("scrape", "");
     const std::string many = params.get_string("configs", "");
     if (!many.empty()) {
-      opts.configs = split_configs(many);
+      opts.configs = split_list(many, ';');
     } else {
       opts.configs.push_back(params.get_string(
           "config", "bench=mcf filter=pc instructions=200000"));
