@@ -473,14 +473,17 @@ void MemoryHierarchy::end_cycle(Cycle now) {
     } else if (buffer_) {
       // Dedicated-buffer mode: fetch the data but fill the buffer. The
       // record is a prefetch not yet referenced, so the one it displaces
-      // is a prefetch never referenced: a bad one.
+      // is a prefetch never referenced: a bad one. It was never in the
+      // L1, so it takes no victim-cache slot.
       fetch_from_l2(now, e->trigger_pc, addr, /*is_prefetch=*/true,
                     /*fill_l1=*/false, info, AccessType::Prefetch);
       PPF_OBS_EVENT(obs_, obs::EventKind::Fill, now, e->line, e->trigger_pc,
                     e->source);
       const mem::Eviction rec{e->line, /*dirty=*/false, /*pib=*/true,
                               /*rib=*/false, e->trigger_pc, e->source};
-      if (auto ev = buffer_->insert(rec)) handle_eviction(now, *ev);
+      if (auto ev = buffer_->insert(rec)) {
+        settle_prefetch(now, *ev, /*train=*/true);
+      }
     } else {
       fetch_from_l2(now, e->trigger_pc, addr, /*is_prefetch=*/true,
                     /*fill_l1=*/true, info, AccessType::Prefetch);

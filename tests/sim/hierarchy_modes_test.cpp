@@ -65,6 +65,31 @@ TEST(HierarchyModes, VictimCacheImprovesConflictHeavyIpc) {
   EXPECT_GT(r_with.victim_hits, 0u);
 }
 
+TEST(HierarchyModes, VictimCacheTakesOnlyL1dVictims) {
+  // Jouppi's victim cache holds the lines the L1D evicts, so over a whole
+  // run it takes exactly as many records as the L1D evicts lines.
+  struct Case {
+    const char* bench;
+    bool prefetch_buffer;
+  };
+  for (const Case c : {Case{"em3d", true}}) {
+    SimConfig cfg;
+    cfg.victim_cache_entries = 16;
+    cfg.use_prefetch_buffer = c.prefetch_buffer;
+    cfg.filter = "none";
+    cfg.max_instructions = 20'000;
+    cfg.warmup_instructions = 0;
+    MemoryHierarchy mem(cfg);
+    const auto engine = make_sim_engine(cfg, mem);
+    const auto trace = workload::make_benchmark(c.bench, cfg.seed);
+    (void)engine->run(*trace, cfg.max_instructions);
+    ASSERT_NE(mem.victim_cache(), nullptr);
+    EXPECT_GT(mem.l1d().evictions(), 0u) << c.bench;
+    EXPECT_EQ(mem.victim_cache()->inserts(), mem.l1d().evictions())
+        << c.bench;
+  }
+}
+
 TEST(HierarchyModes, MshrLimitStallsBursts) {
   SimConfig cfg = quiet_cfg();
   cfg.mshr_entries = 1;
