@@ -290,11 +290,9 @@ Cycle MemoryHierarchy::fetch_from_l2(Cycle now, Pc pc, Addr addr,
   }
 
   if (fill_l1) {
-    mem::Cache& target = type == AccessType::InstFetch ? l1i_ : l1d_;
-    const auto ev = target.fill(addr, info);
+    const auto ev = l1d_.fill(addr, info);
     if (ev.has_value()) handle_eviction(now, *ev);
-    if (is_prefetch && cfg_.enable_taxonomy &&
-        type != AccessType::InstFetch) {
+    if (is_prefetch && cfg_.enable_taxonomy) {
       // The victim counts as "live" if it was demand data or a
       // referenced prefetch; displacing dead speculation is free.
       const bool victim_live =
@@ -304,20 +302,18 @@ Cycle MemoryHierarchy::fetch_from_l2(Cycle now, Pc pc, Addr addr,
           ev.has_value() ? std::optional<LineAddr>(ev->line) : std::nullopt,
           victim_live);
     }
-    if (type != AccessType::InstFetch) {
-      const double interval =
-          static_cast<double>(now > last_l1_fill_cycle_
-                                  ? now - last_l1_fill_cycle_
-                                  : 0);
-      ema_fill_interval_ += 0.002 * (interval - ema_fill_interval_);
-      last_l1_fill_cycle_ = now;
-      in_flight_.note_fill(now, l1d_.line_of(addr), ready);
-      if (is_prefetch) {
-        ++prefetch_l1_fills_;
-        PPF_OBS_EVENT(obs_, obs::EventKind::Fill, now, l1d_.line_of(addr),
-                      info.trigger_pc, info.source);
-        prefetcher_.on_prefetch_fill(l1d_.line_of(addr), info.source);
-      }
+    const double interval =
+        static_cast<double>(now > last_l1_fill_cycle_
+                                ? now - last_l1_fill_cycle_
+                                : 0);
+    ema_fill_interval_ += 0.002 * (interval - ema_fill_interval_);
+    last_l1_fill_cycle_ = now;
+    in_flight_.note_fill(now, l1d_.line_of(addr), ready);
+    if (is_prefetch) {
+      ++prefetch_l1_fills_;
+      PPF_OBS_EVENT(obs_, obs::EventKind::Fill, now, l1d_.line_of(addr),
+                    info.trigger_pc, info.source);
+      prefetcher_.on_prefetch_fill(l1d_.line_of(addr), info.source);
     }
   }
   return ready;
@@ -498,9 +494,14 @@ void MemoryHierarchy::end_cycle(Cycle now) {
 Cycle MemoryHierarchy::fetch(Cycle now, Pc pc) {
   const mem::AccessResult r = l1i_.access(pc, AccessType::InstFetch);
   if (r.hit) return now;  // single-cycle fetch folded into the pipeline
-  return fetch_from_l2(now + cfg_.l1i.latency, pc, pc, /*is_prefetch=*/false,
-                       /*fill_l1=*/true, mem::FillInfo{},
-                       AccessType::InstFetch);
+  const Cycle ready =
+      fetch_from_l2(now + cfg_.l1i.latency, pc, pc, /*is_prefetch=*/false,
+                    /*fill_l1=*/false, mem::FillInfo{}, AccessType::InstFetch);
+  // An instruction line carries no PIB and is never dirty, so its victim
+  // needs no verdict and no writeback. No data miss can recall it, so it
+  // takes no victim-cache slot either.
+  (void)l1i_.fill(pc, mem::FillInfo{});
+  return ready;
 }
 
 void MemoryHierarchy::reset_stats() {

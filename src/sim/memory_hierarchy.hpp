@@ -189,7 +189,7 @@ class MemoryHierarchy final : public core::DataMemory,
 
  private:
   /// Fetch a line through the L2 (and memory beyond); optionally fill the
-  /// L1. Returns the cycle the data is available.
+  /// L1D. Returns the cycle the data is available.
   Cycle fetch_from_l2(Cycle now, Pc pc, Addr addr, bool is_prefetch,
                       bool fill_l1, const mem::FillInfo& info,
                       AccessType type);
@@ -210,7 +210,7 @@ class MemoryHierarchy final : public core::DataMemory,
   /// Post a dirty victim's writeback to the bus and DRAM.
   void post_writeback(const mem::Eviction& ev, std::uint32_t line_bytes);
 
-  /// An L1 victim: its verdict and taxonomy, a victim-cache slot, its
+  /// An L1D victim: its verdict and taxonomy, a victim-cache slot, its
   /// writeback.
   void handle_eviction(Cycle now, const mem::Eviction& ev);
 

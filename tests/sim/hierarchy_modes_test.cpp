@@ -72,7 +72,7 @@ TEST(HierarchyModes, VictimCacheTakesOnlyL1dVictims) {
     const char* bench;
     bool prefetch_buffer;
   };
-  for (const Case c : {Case{"em3d", true}}) {
+  for (const Case c : {Case{"em3d", true}, Case{"gcc", false}}) {
     SimConfig cfg;
     cfg.victim_cache_entries = 16;
     cfg.use_prefetch_buffer = c.prefetch_buffer;
