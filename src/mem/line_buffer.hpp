@@ -4,8 +4,9 @@
 //     prefetched lines land here instead of the L1, and a demand hit
 //     promotes the line into the L1;
 //   * the victim cache (Jouppi, ISCA 1990): the last few lines evicted
-//     from the L1, probed on L1 misses, the classic conflict-miss
-//     mitigation. If pollution evictions were cheap to undo the filter
+//     from the L1D, probed on L1D misses, the classic conflict-miss
+//     mitigation. It holds L1D victims only: an L1I victim or a record
+//     the prefetch buffer displaces never enters it. If pollution evictions were cheap to undo the filter
 //     would matter less; `bench_paper fig=extras` quantifies that.
 // Each record is kept whole, so a line taken back keeps its
 // PIB/RIB/trigger metadata and its dirty bit.
