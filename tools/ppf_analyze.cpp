@@ -7,18 +7,12 @@
 // Rule catalogue: docs/ANALYSIS.md.
 //
 // Usage: ppf_analyze [--root DIR] [--json] [--sarif FILE]
-//                    [--rule NAME]... [--baseline FILE] [--no-baseline]
-//                    [--fix-baseline] [--expect-violations] [--list-rules]
+//                    [--rule NAME]... [--expect-violations] [--list-rules]
 //
-// Baseline: findings listed in the baseline file (default
-// tools/analyze_baseline.txt under the root) are suppressed —
-// grandfathered, not endorsed. Stale entries (matching nothing) fail
-// the run so the baseline only ever shrinks; `--fix-baseline`
-// regenerates it deterministically from the current findings.
+// The tree is held clean: a finding is fixed, not grandfathered.
 //
 // Exit: 0 clean (or, under --expect-violations, at least one finding)
-//       1 findings / stale baseline entries (or, under
-//         --expect-violations, none)
+//       1 findings (or, under --expect-violations, none)
 //       2 usage or I/O error
 #include <filesystem>
 #include <fstream>
@@ -27,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/baseline.hpp"
 #include "analyze/engine.hpp"
 #include "analyze/report.hpp"
 
@@ -38,9 +31,8 @@ namespace {
 
 int usage(std::ostream& os, int code) {
   os << "usage: ppf_analyze [--root DIR] [--json] [--sarif FILE]\n"
-        "                   [--rule NAME]... [--baseline FILE]\n"
-        "                   [--no-baseline] [--fix-baseline]\n"
-        "                   [--expect-violations] [--list-rules]\n";
+        "                   [--rule NAME]... [--expect-violations] "
+        "[--list-rules]\n";
   return code;
 }
 
@@ -48,12 +40,9 @@ int usage(std::ostream& os, int code) {
 
 int main(int argc, char** argv) {
   fs::path root = ".";
-  fs::path baseline_path;  // default resolved against root below
   fs::path sarif_path;
   bool json = false;
   bool sarif = false;
-  bool no_baseline = false;
-  bool fix_baseline = false;
   bool expect_violations = false;
   std::set<std::string> only;
 
@@ -68,12 +57,6 @@ int main(int argc, char** argv) {
       sarif_path = argv[++i];
     } else if (arg == "--rule" && i + 1 < argc) {
       only.insert(argv[++i]);
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--no-baseline") {
-      no_baseline = true;
-    } else if (arg == "--fix-baseline") {
-      fix_baseline = true;
     } else if (arg == "--expect-violations") {
       expect_violations = true;
     } else if (arg == "--list-rules") {
@@ -104,34 +87,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   root = fs::canonical(root);
-  if (baseline_path.empty()) {
-    baseline_path = root / "tools" / "analyze_baseline.txt";
-  }
 
   const std::vector<Diagnostic> diags = analyze_tree(root, only);
-
-  if (fix_baseline) {
-    std::ofstream out(baseline_path);
-    if (!out) {
-      std::cerr << "ppf_analyze: cannot write " << baseline_path.string()
-                << "\n";
-      return 2;
-    }
-    out << render_baseline(diags);
-    std::cout << "ppf_analyze: baseline rewritten (" << diags.size()
-              << " finding(s)) at " << baseline_path.string() << "\n";
-    return 0;
-  }
-
-  std::vector<Diagnostic> fresh;
-  std::vector<Diagnostic> suppressed;
-  std::vector<BaselineEntry> stale;
-  if (no_baseline) {
-    fresh = diags;
-  } else {
-    const Baseline b = load_baseline(baseline_path);
-    stale = apply_baseline(b, diags, fresh, suppressed);
-  }
 
   if (sarif) {
     std::ofstream out(sarif_path);
@@ -140,39 +97,22 @@ int main(int argc, char** argv) {
                 << "\n";
       return 2;
     }
-    print_sarif(out, fresh);
+    print_sarif(out, diags);
   }
   if (json) {
-    print_json(std::cout, fresh);
+    print_json(std::cout, diags);
   } else if (!sarif) {
-    print_human(std::cout, fresh);
+    print_human(std::cout, diags);
   }
 
   if (expect_violations) {
-    if (fresh.empty()) {
+    if (diags.empty()) {
       std::cerr << "ppf_analyze: expected violations, found none\n";
       return 1;
     }
     return 0;
   }
-  int code = 0;
-  if (!fresh.empty()) {
-    std::cerr << "ppf_analyze: " << fresh.size() << " finding(s)";
-    if (!suppressed.empty()) {
-      std::cerr << " (+" << suppressed.size() << " baselined)";
-    }
-    std::cerr << "\n";
-    code = 1;
-  }
-  if (!stale.empty()) {
-    std::cerr << "ppf_analyze: " << stale.size()
-              << " stale baseline entr(y/ies) — fixed findings must "
-                 "leave the baseline; run --fix-baseline:\n";
-    for (const BaselineEntry& e : stale) {
-      std::cerr << "  " << e.rule << "|" << e.file << "|" << e.message
-                << "\n";
-    }
-    code = 1;
-  }
-  return code;
+  if (diags.empty()) return 0;
+  std::cerr << "ppf_analyze: " << diags.size() << " finding(s)\n";
+  return 1;
 }
