@@ -20,14 +20,22 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
-#include "bench_common.hpp"
+#include "common/config.hpp"
 #include "diff/signature.hpp"
+#include "runlab/runner.hpp"
+#include "sim/config_apply.hpp"
+#include "sim/experiment.hpp"
+#include "sim/report.hpp"
+#include "sim/simulator.hpp"
+#include "workload/benchmarks.hpp"
 
 using namespace ppf;
 
@@ -1139,11 +1147,19 @@ void print_all(const std::vector<const Figure*>& figs, std::ostream& os,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::CliOptions cli = bench::parse_cli(
-      argc, argv, {{"fig", "comma list of figures to print (default all)"}});
+  sim::SimConfig base = sim::SimConfig::paper_default();
+  base.max_instructions = 1'000'000;
+  base.warmup_instructions = 500'000;
+  sim::CommandLine cli(
+      {{"fig", "comma list of figures to print (default all)", sim::kText},
+       {"jobs", "runlab worker threads (default 0: one per hardware thread)",
+        sim::ints(0, 1024)}},
+      &base);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
   std::vector<const Figure*> figs;
   try {
-    figs = selected_figures(cli.params.get_string("fig", "all"));
+    figs = selected_figures(args->get_string("fig", "all"));
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "; valid: all";
     for (const Figure& f : figures()) std::cerr << ' ' << f.name;
@@ -1154,9 +1170,9 @@ int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   Runs runs;
   std::ostream discard(nullptr);
-  print_all(figs, discard, cli.cfg, runs);
-  if (!runs.execute(cli.jobs)) return 1;
-  print_all(figs, std::cout, cli.cfg, runs);
+  print_all(figs, discard, base, runs);
+  if (!runs.execute(args->get_u64("jobs", 0))) return 1;
+  print_all(figs, std::cout, base, runs);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
   std::cerr << "bench_paper: printed";

@@ -11,54 +11,49 @@
 // "ppf.tournament.v1" JSON document, which is byte-identical for any
 // jobs= value. Remaining key=value args configure the base machine.
 #include <fstream>
+#include <iostream>
+#include <optional>
 
-#include "bench_common.hpp"
+#include "common/config.hpp"
 #include "diff/signature.hpp"
 #include "registry/registry.hpp"
 #include "runlab/tournament.hpp"
+#include "sim/config_apply.hpp"
+#include "sim/report.hpp"
+#include "workload/benchmarks.hpp"
 
 using namespace ppf;
 
 int main(int argc, char** argv) {
   runlab::TournamentSpec spec;
-  std::size_t jobs = 0;
-  std::string out_path;
-  try {
-    const ParamMap params = ParamMap::from_args(argc, argv);
-    if (params.has("help")) throw std::invalid_argument("help requested");
-    const std::vector<std::string> driver_keys = {
-        "jobs", "out", "filters", "prefetchers", "benches"};
-    const std::string unknown = sim::first_unknown_key(params, driver_keys);
-    if (!unknown.empty()) {
-      throw std::invalid_argument("unknown key: " + unknown);
-    }
-    jobs = params.get_u64("jobs", 0);
-    out_path = params.get_string("out", "");
-    spec.filters = params.has("filters")
-                       ? split_list(params.get_string("filters", ""))
-                       : registry::filter_keys();
-    spec.prefetchers =
-        params.has("prefetchers")
-            ? split_list(params.get_string("prefetchers", ""))
-            : registry::prefetcher_keys();
-    spec.benchmarks = params.has("benches")
-                          ? split_list(params.get_string("benches", ""))
-                          : workload::benchmark_names();
-
-    spec.base = sim::SimConfig::paper_default();
-    spec.base.max_instructions = 400'000;
-    spec.base.warmup_instructions = 100'000;
-    sim::apply_overrides(spec.base, params, driver_keys);
-  } catch (const std::exception& e) {
-    std::cerr << "usage: " << argv[0]
-              << " [jobs=N] [out=FILE] [filters=a,b] [prefetchers=c,d]"
-                 " [benches=e,f] [key=value ...]\n"
-              << e.what() << "\n\nregistered filters:     "
-              << registry::valid_filter_values()
-              << "\nregistered prefetchers: "
-              << registry::valid_prefetcher_values() << "\n";
-    return 2;
-  }
+  spec.base = sim::SimConfig::paper_default();
+  spec.base.max_instructions = 400'000;
+  spec.base.warmup_instructions = 100'000;
+  sim::CommandLine cli(
+      {{"jobs", "runlab worker threads (default 0: one per hardware thread)",
+        sim::ints(0, 1024)},
+       {"out", "write the ppf.tournament.v1 JSON document to FILE",
+        sim::kText},
+       {"filters", "comma list of filter keys, as the machine key filter= "
+                   "takes (default every registered filter)",
+        sim::kText},
+       {"prefetchers", "the prefetcher axis (default every registered "
+                       "prefetcher)",
+        sim::kPrefetchers},
+       {"benches", "the benchmark axis (default all ten)",
+        sim::benchmarks(sim::kU64)}},
+      &spec.base);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
+  spec.filters = args->has("filters")
+                     ? split_list(args->get_string("filters", ""))
+                     : registry::filter_keys();
+  spec.prefetchers = args->has("prefetchers")
+                         ? split_list(args->get_string("prefetchers", ""))
+                         : registry::prefetcher_keys();
+  spec.benchmarks = args->has("benches")
+                        ? split_list(args->get_string("benches", ""))
+                        : workload::benchmark_names();
 
   // Memo-friendly signature per grid point: two points with equal
   // digests are guaranteed byte-identical runs, so a results cache can
@@ -73,7 +68,8 @@ int main(int argc, char** argv) {
 
   runlab::TournamentReport rep;
   try {
-    rep = runlab::run_tournament(spec, runlab::with_workers(jobs));
+    rep = runlab::run_tournament(spec,
+                                 runlab::with_workers(args->get_u64("jobs", 0)));
   } catch (const std::exception& e) {
     std::cerr << "bench_tournament: " << e.what() << "\n";
     return 2;
@@ -84,7 +80,8 @@ int main(int argc, char** argv) {
             << " filters x " << spec.prefetchers.size() << " prefetchers x "
             << spec.benchmarks.size() << " benchmarks)\n";
 
-  if (!out_path.empty()) {
+  if (const std::string out_path = args->get_string("out", "");
+      !out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
     if (!out) {
       std::cerr << "bench_tournament: cannot open " << out_path << "\n";

@@ -3,23 +3,24 @@
 #include <algorithm>
 #include <charconv>
 #include <climits>
-#include <limits>
-#include <ostream>
+#include <fstream>
+#include <iostream>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "common/bits.hpp"
+#include "obs/export.hpp"
 #include "registry/registry.hpp"
+#include "sim/simulator.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace ppf::sim {
 
 namespace {
 
 using Kind = Domain::Kind;
-constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
-constexpr std::uint64_t k2To20 = std::uint64_t{1} << 20;
 constexpr bool kWarm = true;
 
 std::string join(const std::vector<std::string>& names) {
@@ -27,16 +28,6 @@ std::string join(const std::vector<std::string>& names) {
   for (const std::string& n : names) out += (out.empty() ? "" : "|") + n;
   return out;
 }
-
-Domain ints(std::uint64_t lo, std::uint64_t hi) { return {Kind::Int, lo, hi}; }
-Domain pow2s(std::uint64_t lo, std::uint64_t hi) {
-  return {Kind::Pow2, lo, hi};
-}
-Domain reals(double lo, double hi) { return {Kind::Real, 0, 0, lo, hi}; }
-Domain names(std::vector<std::string> (*valid)()) {
-  return {.kind = Kind::Name, .names = valid};
-}
-const Domain kBool{Kind::Bool};
 
 /// The names of enumerators 0..N-1 of E, by its to_string.
 template <typename E, int N>
@@ -46,7 +37,6 @@ std::vector<std::string> enum_names() {
   return out;
 }
 
-const Domain kPrefetchers{Kind::Prefetchers};
 const Domain kReplacement{Kind::Replacement};
 
 /// Appends `v` as override text; std::to_chars gives doubles their
@@ -168,6 +158,15 @@ std::string Domain::describe() const {
       return "a comma list of " + registry::valid_prefetcher_values();
     case Kind::Replacement:
       return "one of " + registry::valid_replacement_values();
+    case Kind::Text: return "text";
+    case Kind::Benchmarks: {
+      const std::string list =
+          (hi == 1 ? "one of " : "a comma list of ") +
+          join(workload::benchmark_names()) +
+          (hi == 1 ? ", or a mix" : " and mixes") + " A+B[+...]/SLICE of 2 to " +
+          std::to_string(workload::kMaxMixPrograms) + " of them";
+      return names == nullptr ? list : join(names()) + ", or " + list;
+    }
   }
   PPF_ASSERT_MSG(false, "unhandled Domain::Kind");
   return "";
@@ -213,6 +212,26 @@ ConfigValue Domain::parse(std::string_view key, const std::string& text) const {
     case Kind::Replacement:
       v.u = static_cast<std::uint64_t>(registry::parse_replacement(text));
       return v;
+    case Kind::Text:
+      v.text = text;
+      return v;
+    case Kind::Benchmarks: {
+      if (names != nullptr) {
+        const std::vector<std::string> alone = names();
+        if (std::find(alone.begin(), alone.end(), text) != alone.end()) {
+          v.text = text;
+          return v;
+        }
+      }
+      v.list = split_list(text);
+      ok = !v.list.empty() && v.list.size() <= hi;
+      if (ok) {
+        for (const std::string& name : v.list) {
+          (void)workload::parse_benchmark_name(name);
+        }
+      }
+      break;
+    }
   }
   if (!ok) {
     throw std::invalid_argument(std::string(key) + "=" + text +
@@ -368,42 +387,6 @@ void apply_overrides(SimConfig& cfg, const ParamMap& params,
   }
 }
 
-std::string first_unknown_key(const ParamMap& params,
-                              const std::vector<std::string>& extra) {
-  for (const auto& [key, value] : params.entries()) {
-    if (find_key(key) == nullptr &&
-        std::find(extra.begin(), extra.end(), key) == extra.end()) {
-      return key;
-    }
-  }
-  return "";
-}
-
-const std::vector<std::string>& ppf_sim_driver_keys() {
-  static const std::vector<std::string> keys = {
-      "bench",           "trace",     "csv",            "config", "obs",
-      "sample_interval", "trace_out", "timeseries_out", "help"};
-  return keys;
-}
-
-const std::vector<std::string>& ppf_batch_driver_keys() {
-  static const std::vector<std::string> keys = {
-      "bench",       "filter",      "seeds",        "seed_list",
-      "jobs",        "out",         "csv",          "progress",
-      "timeout_ms",  "trace_cache", "warmup_share", "telemetry_json",
-      "obs",         "sample_interval", "trace_out", "timeseries_out",
-      "cancel_after", "help"};
-  return keys;
-}
-
-void print_override_keys(std::ostream& os) {
-  for (const ConfigRow& row : config_schema()) {
-    if (!row.key) continue;
-    os << "  " << row.name << " — " << row.help << "; "
-       << row.domain.describe() << "\n";
-  }
-}
-
 void print_config(std::ostream& os, const SimConfig& cfg) {
   std::size_t col = 0;
   for (const ConfigRow& row : config_schema()) {
@@ -421,6 +404,152 @@ void print_config(std::ostream& os, const SimConfig& cfg) {
     col += token.size();
   }
   os << "\n";
+}
+
+namespace {
+
+/// `--key-name=value` reads as key_name=value and `--flag` as flag=1;
+/// any other argument stands as given.
+std::string respell(std::string_view arg) {
+  if (arg.substr(0, 2) != "--") return std::string(arg);
+  arg.remove_prefix(2);
+  const std::size_t eq = arg.find('=');
+  std::string key(arg.substr(0, eq));
+  std::replace(key.begin(), key.end(), '-', '_');
+  return key + (eq == std::string_view::npos ? "=1"
+                                              : std::string(arg.substr(eq)));
+}
+
+void print_key(std::ostream& os, std::string_view name, std::string_view help,
+               const Domain& domain) {
+  os << "  " << name << " — " << help;
+  if (domain.kind != Kind::Text) os << "; " << domain.describe();
+  os << "\n";
+}
+
+/// PATH without a trailing .jsonl or .json.
+std::string stem(const std::string& path) {
+  for (const std::string_view ext : {".jsonl", ".json"}) {
+    if (path.ends_with(ext)) {
+      return path.substr(0, path.size() - ext.size());
+    }
+  }
+  return path;
+}
+
+std::ofstream open_sink(const std::string& path) {
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("cannot open " + path + " for writing");
+  return f;
+}
+
+}  // namespace
+
+CommandLine::CommandLine(std::vector<DriverKey> keys, SimConfig* machine)
+    : keys_(std::move(keys)), machine_(machine) {}
+
+std::optional<ParamMap> CommandLine::parse(int argc,
+                                           const char* const* argv) {
+  program_ = argv[0];
+  try {
+    ParamMap given = read({argv + 1, argv + argc});
+    if (!given.has("help")) return given;
+    print_usage(std::cerr);
+  } catch (const std::exception& e) {
+    usage_error(e.what());
+  }
+  return std::nullopt;
+}
+
+ParamMap CommandLine::read(const std::vector<std::string>& args) const {
+  std::vector<std::string> spelled = {""};  // from_args skips argv[0]
+  for (const std::string& a : args) spelled.push_back(respell(a));
+  std::vector<const char*> argv;
+  for (const std::string& a : spelled) argv.push_back(a.c_str());
+  const ParamMap all =
+      ParamMap::from_args(static_cast<int>(argv.size()), argv.data());
+  ParamMap given;
+  ParamMap overrides;
+  for (const auto& [key, text] : all.entries()) {
+    if (const DriverKey* row = find(key)) {
+      (void)row->domain.parse(key, text);
+      given.set(key, text);
+    } else if (key == "help") {
+      given.set(key, text);
+    } else if (machine_ != nullptr && find_key(key) != nullptr) {
+      overrides.set(key, text);
+    } else {
+      throw std::invalid_argument("unknown key: " + key);
+    }
+  }
+  if (machine_ != nullptr) apply_overrides(*machine_, overrides);
+  return given;
+}
+
+int CommandLine::usage_error(const std::string& error) const {
+  std::cerr << error << "\n\n";
+  print_usage(std::cerr);
+  return 2;
+}
+
+void CommandLine::print_usage(std::ostream& os) const {
+  os << "usage: " << program_
+     << " [key=value ...]  (--key-name=value is key_name=value, and "
+        "--flag is flag=1)\n\nkeys:\n";
+  for (const DriverKey& k : keys_) print_key(os, k.name, k.help, k.domain);
+  if (machine_ == nullptr) return;
+  os << "\nmachine keys (docs/CONFIG.md):\n";
+  for (const ConfigRow& row : config_schema()) {
+    if (row.key && find(row.name) == nullptr) {
+      print_key(os, row.name, row.help, row.domain);
+    }
+  }
+}
+
+const DriverKey* CommandLine::find(std::string_view key) const {
+  for (const DriverKey& k : keys_) {
+    if (k.name == key) return &k;
+  }
+  return nullptr;
+}
+
+ObservationSinks ObservationSinks::read(const ParamMap& args,
+                                        SimConfig& cfg) {
+  ObservationSinks sinks{args.get_string("trace_out", ""),
+                         args.get_string("timeseries_out", "")};
+  std::uint64_t interval = args.get_u64("sample_interval", 0);
+  cfg.obs.enabled = args.get_bool("obs", false) ||
+                    !sinks.trace_out.empty() ||
+                    !sinks.timeseries_out.empty() || interval > 0;
+  if (!sinks.timeseries_out.empty() && interval == 0) interval = 50'000;
+  cfg.obs.sample_interval = interval;
+  return sinks;
+}
+
+void ObservationSinks::write(const SimResult& r,
+                             const std::string& index) const {
+  if (r.observation == nullptr) return;
+  const obs::ExportMeta meta{r.workload, r.filter_name};
+  if (!trace_out.empty()) {
+    const bool jsonl = trace_out.ends_with(".jsonl");
+    std::ofstream f = open_sink(
+        index.empty() ? trace_out
+                      : stem(trace_out) + "." + index +
+                            (jsonl ? ".jsonl" : ".json"));
+    if (jsonl) {
+      obs::write_trace_jsonl(f, *r.observation, meta);
+    } else {
+      obs::write_trace_chrome(f, *r.observation, meta);
+    }
+  }
+  if (!timeseries_out.empty()) {
+    // Its own suffix, so both sinks can share one prefix.
+    std::ofstream f = open_sink(
+        index.empty() ? timeseries_out
+                      : stem(timeseries_out) + "." + index +
+                            ".timeseries.json");
+    obs::write_timeseries_json(f, *r.observation, meta);
+  }
 }
 
 }  // namespace ppf::sim

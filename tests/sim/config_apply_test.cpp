@@ -153,37 +153,138 @@ TEST(ConfigApply, LineBytesPropagatesEverywhere) {
   EXPECT_EQ(cfg.core.ifetch_line_bytes, 64u);
 }
 
+/// A driver's key table with the observation keys, as ppf_sim and
+/// ppf_batch list them.
+const std::vector<DriverKey> kObsDriver = {
+    {"bench", "", kText},
+    {"obs", "", kBool},
+    {"sample_interval", "", kCount},
+    {"trace_out", "", kText},
+    {"timeseries_out", "", kText},
+};
+
 TEST(ConfigApply, DriverKeyListsCarryTheObservabilityKnobs) {
-  // Both CLIs must accept the obs sinks through their typo rejection.
-  for (const auto* keys : {&ppf_sim_driver_keys(), &ppf_batch_driver_keys()}) {
-    for (const char* k : {"obs", "sample_interval", "trace_out",
-                          "timeseries_out", "help"}) {
-      EXPECT_NE(std::find(keys->begin(), keys->end(), k), keys->end()) << k;
-    }
-  }
-  // And the batch-only knobs stay batch-only.
-  const auto& batch = ppf_batch_driver_keys();
-  EXPECT_NE(std::find(batch.begin(), batch.end(), "progress"), batch.end());
-  EXPECT_NE(std::find(batch.begin(), batch.end(), "telemetry_json"),
-            batch.end());
-  const auto& simk = ppf_sim_driver_keys();
-  EXPECT_EQ(std::find(simk.begin(), simk.end(), "progress"), simk.end());
+  // A driver that lists the observation keys takes them through its
+  // typo rejection, and one reader turns them into the recorder setup.
+  SimConfig cfg;
+  const CommandLine cli(kObsDriver, &cfg);
+  const ParamMap args =
+      cli.read({"bench=mcf", "filter=pc", "trace_out=t.json",
+                "sample_interval=1000", "obs=1", "timeseries_out=ts.json"});
+  const ObservationSinks sinks = ObservationSinks::read(args, cfg);
+  EXPECT_EQ(sinks.trace_out, "t.json");
+  EXPECT_EQ(sinks.timeseries_out, "ts.json");
+  EXPECT_TRUE(cfg.obs.enabled);
+  EXPECT_EQ(cfg.obs.sample_interval, 1000u);
+  EXPECT_EQ(cfg.filter, "pc");  // the machine key reached the machine
+
+  // A sink alone implies obs=1, and a time-series sink a 50000-cycle grid.
+  SimConfig implied;
+  (void)ObservationSinks::read(
+      CommandLine(kObsDriver).read({"timeseries_out=ts.json"}), implied);
+  EXPECT_TRUE(implied.obs.enabled);
+  EXPECT_EQ(implied.obs.sample_interval, 50'000u);
 }
 
 TEST(ConfigApply, FirstUnknownKeyAcceptsObsKnobsRejectsTypos) {
+  SimConfig cfg;
+  const CommandLine cli(kObsDriver, &cfg);
   // The accepted path: obs keys + machine keys pass through untouched.
-  EXPECT_EQ(first_unknown_key(params({"bench=mcf", "filter=pc",
-                                      "trace_out=t.json",
-                                      "sample_interval=1000", "obs=1"}),
-                              ppf_sim_driver_keys()),
-            "");
+  EXPECT_NO_THROW((void)cli.read({"bench=mcf", "filter=pc",
+                                  "trace_out=t.json",
+                                  "sample_interval=1000", "obs=1"}));
   // A one-character typo must be named, not silently ignored.
-  EXPECT_EQ(first_unknown_key(params({"trace_ou=t.json"}),
-                              ppf_sim_driver_keys()),
-            "trace_ou");
-  EXPECT_EQ(first_unknown_key(params({"timeserie_out=x.json"}),
-                              ppf_batch_driver_keys()),
-            "timeserie_out");
+  for (const char* typo : {"trace_ou=t.json", "timeserie_out=x.json"}) {
+    try {
+      (void)cli.read({typo});
+      ADD_FAILURE() << typo << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string_view arg = typo;
+      EXPECT_EQ(std::string(e.what()),
+                "unknown key: " + std::string(arg.substr(0, arg.find('='))));
+    }
+  }
+  // Without a machine, machine keys are unknown too.
+  EXPECT_THROW((void)CommandLine(kObsDriver).read({"filter=pc"}),
+               std::invalid_argument);
+}
+
+/// The message read() throws for `args`, or "" when they parse.
+std::string read_error(const CommandLine& cli,
+                       const std::vector<std::string>& args) {
+  try {
+    (void)cli.read(args);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CommandLine, DashedSpellingsReadAsKeys) {
+  SimConfig cfg;
+  const CommandLine cli(kObsDriver, &cfg);
+  const ParamMap args = cli.read(
+      {"--trace-out=t.json", "--obs", "--sample-interval=7", "--nsp-degree=4"});
+  EXPECT_EQ(args.get_string("trace_out", ""), "t.json");
+  EXPECT_EQ(args.get_string("obs", ""), "1");
+  EXPECT_EQ(args.get_string("sample_interval", ""), "7");
+  EXPECT_EQ(cfg.nsp_degree, 4u);
+  // One key, two spellings: still a duplicate.
+  EXPECT_NE(read_error(cli, {"obs=1", "--obs"}).find("duplicate key 'obs'"),
+            std::string::npos);
+  // A single dash is no spelling of a key.
+  EXPECT_NE(read_error(cli, {"-obs"}).find("expected key=value"),
+            std::string::npos);
+}
+
+TEST(CommandLine, ValuesAreCheckedAgainstTheirDomains) {
+  const std::vector<DriverKey> keys = {
+      {"jobs", "", ints(0, 1024)},
+      {"csv", "", kBool},
+      {"bench", "", benchmarks(kU64, [] {
+         return std::vector<std::string>{"all"};
+       })},
+      {"one", "", benchmarks(1)},
+      {"filter", "", kText},  // shadows the machine key
+  };
+  SimConfig cfg;
+  const CommandLine cli(keys, &cfg);
+  EXPECT_EQ(read_error(cli, {"jobs=1025"}),
+            "jobs=1025: expected an integer in [0, 1024]");
+  EXPECT_EQ(read_error(cli, {"csv=maybe"}),
+            "csv=maybe: expected a bool (1|0|true|false|yes|no|on|off)");
+  EXPECT_EQ(read_error(cli, {"bench=mcf,nope"}), "unknown benchmark: nope");
+  EXPECT_EQ(read_error(cli, {"bench=em3d+gzip"}),
+            "mix 'em3d+gzip': no /SLICE after its programs");
+  EXPECT_NE(read_error(cli, {"bench="}).find("bench=: expected all, or a "
+                                             "comma list of "),
+            std::string::npos);
+  EXPECT_NE(read_error(cli, {"one=mcf,gzip"}).find("one=mcf,gzip: expected "),
+            std::string::npos);
+  EXPECT_EQ(read_error(cli, {"nsp_degree=0"}),
+            "nsp_degree=0: expected an integer in [1, 64]");
+  EXPECT_EQ(read_error(cli, {"jobs=1024", "csv=yes", "bench=all",
+                             "one=em3d+gzip/2000", "filter=psychic,pc"}),
+            "");
+  EXPECT_EQ(cfg.filter, SimConfig{}.filter);  // the driver's filter= list
+  // help is every driver's and takes any value.
+  EXPECT_TRUE(cli.read({"help=please"}).has("help"));
+}
+
+TEST(CommandLine, UsageListsTheTableThenTheUnshadowedMachineKeys) {
+  SimConfig cfg;
+  std::ostringstream os;
+  CommandLine({{"filter", "comma list of filters", kText},
+               {"jobs", "worker threads", ints(0, 1024)}},
+              &cfg)
+      .print_usage(os);
+  const std::string usage = os.str();
+  EXPECT_NE(usage.find("\n  filter — comma list of filters\n"),
+            std::string::npos);
+  EXPECT_NE(usage.find("\n  jobs — worker threads; an integer in [0, 1024]"),
+            std::string::npos);
+  EXPECT_NE(usage.find("\n  nsp_degree — "), std::string::npos);
+  EXPECT_EQ(usage.find("\n  filter — pollution filter"), std::string::npos);
 }
 
 TEST(ConfigApply, PrintConfigMentionsKeyFacts) {
@@ -243,6 +344,9 @@ std::vector<std::string> candidates(const ConfigRow& row) {
       return registry::prefetcher_keys();
     case Domain::Kind::Replacement:
       return registry::replacement_keys();
+    case Domain::Kind::Text:
+    case Domain::Kind::Benchmarks:
+      break;  // driver keys only: no schema row takes them
   }
   return {};
 }

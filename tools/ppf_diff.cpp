@@ -14,72 +14,50 @@
 // Exit status: 0 all oracles held, 1 violations (or an internal error),
 // 2 usage error. See docs/DIFF.md.
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "diff/diff.hpp"
-#include "workload/benchmarks.hpp"
+#include "sim/config_apply.hpp"
 
 using namespace ppf;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [seed=N] [trials=N] [jobs=N] [oracle=ID[,ID...]] [shrink=0|1]\n"
-      << "       [shrink_budget=N] [tripwire=0|1] [bench=a,b,...] "
-         "[instructions=N] [warmup=N]\n"
-      << "       [trial=N] [list=0|1]\n\n"
-      << "  seed=N          master seed; trial i derives its own stream "
-         "(default 42)\n"
-      << "  trials=N        configuration points to sample (default 50)\n"
-      << "  jobs=N          worker threads; verdicts are identical for any "
-         "N (default 1)\n"
-      << "  oracle=ID,...   run only the named oracles (default: all)\n"
-      << "  shrink=0|1      shrink failing points to a minimal repro "
-         "(default 1)\n"
-      << "  shrink_budget=N max oracle probes per shrink (default 48)\n"
-      << "  tripwire=0|1    plant the synthetic diff.tripwire bug to prove "
-         "the pipeline (default 0)\n"
-      << "  bench=a,b,...   restrict the benchmark axis\n"
-      << "  instructions=N  fix the instruction budget axis to exactly N\n"
-      << "  warmup=N        fix the warmup axis to exactly N\n"
-      << "  trial=N         print the point trial N samples, then exit\n"
-      << "  list=0|1        print the oracle catalogue, then exit\n";
-  return 2;
-}
-
-const std::vector<std::string>& driver_keys() {
-  static const std::vector<std::string> keys = {
-      "seed",     "trials",       "jobs",     "oracle", "shrink",
-      "shrink_budget", "tripwire", "bench",   "instructions", "warmup",
-      "trial",    "list",         "help"};
-  return keys;
-}
+const std::vector<sim::DriverKey> kKeys = {
+    {"seed", "master seed; trial i derives its own stream (default 42)",
+     sim::kCount},
+    {"trials", "configuration points to sample (default 50)", sim::kCount},
+    {"jobs", "worker threads; verdicts are identical for any N (default 1)",
+     sim::ints(0, 1024)},
+    {"oracle", "run only these oracle IDs, comma-separated (default all)",
+     sim::kText},
+    {"shrink", "shrink failing points to a minimal repro (default 1)",
+     sim::kBool},
+    {"shrink_budget", "max oracle probes per shrink (default 48)",
+     sim::kCount},
+    {"tripwire", "plant the synthetic diff.tripwire bug to prove the "
+                 "pipeline (default 0)",
+     sim::kBool},
+    {"bench", "restrict the benchmark axis", sim::benchmarks(sim::kU64)},
+    {"instructions", "fix the instruction budget axis to exactly N",
+     sim::kCount},
+    {"warmup", "fix the warmup axis to exactly N", sim::kCount},
+    {"trial", "print the point trial N samples, then exit", sim::kCount},
+    {"list", "print the oracle catalogue, then exit (default 0)",
+     sim::kBool},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ParamMap params;
-  try {
-    params = ParamMap::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (params.has("help")) return usage(argv[0]);
-  for (const auto& [key, value] : params.entries()) {
-    bool known = false;
-    for (const std::string& k : driver_keys()) known = known || k == key;
-    if (!known) {
-      std::cerr << "unknown key: " << key << "\n\n";
-      return usage(argv[0]);
-    }
-  }
+  sim::CommandLine cli(kKeys);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
 
-  if (params.get_bool("list", false)) {
+  if (args->get_bool("list", false)) {
     for (const diff::Oracle& o : diff::oracle_catalogue()) {
       std::cout << o.id << " — " << o.summary << "\n";
     }
@@ -89,41 +67,28 @@ int main(int argc, char** argv) {
   }
 
   diff::DiffOptions opts;
-  try {
-    opts.seed = params.get_u64("seed", opts.seed);
-    opts.trials = params.get_u64("trials", opts.trials);
-    opts.jobs = params.get_u64("jobs", opts.jobs);
-    opts.shrink = params.get_bool("shrink", opts.shrink);
-    opts.shrink_budget = params.get_u64("shrink_budget", opts.shrink_budget);
-    opts.tripwire = params.get_bool("tripwire", opts.tripwire);
-    if (params.has("oracle")) {
-      opts.only_oracles = split_list(params.get_string("oracle", ""));
-    }
-    if (params.has("bench")) {
-      opts.sample.benchmarks = split_list(params.get_string("bench", ""));
-      if (opts.sample.benchmarks.empty()) {
-        std::cerr << "bench= needs at least one name\n\n";
-        return usage(argv[0]);
-      }
-      // A bad name is a usage error, not a failure of every oracle.
-      for (const std::string& name : opts.sample.benchmarks) {
-        (void)workload::parse_benchmark_name(name);
-      }
-    }
-    if (params.has("instructions")) {
-      opts.sample.instruction_budgets = {params.get_u64("instructions", 0)};
-    }
-    if (params.has("warmup")) {
-      opts.sample.warmups = {params.get_u64("warmup", 0)};
-    }
-    if (params.has("trial")) {
-      const std::uint64_t t = params.get_u64("trial", 0);
-      std::cout << diff::trial_point(opts, t).repro() << "\n";
-      return 0;
-    }
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
+  opts.seed = args->get_u64("seed", opts.seed);
+  opts.trials = args->get_u64("trials", opts.trials);
+  opts.jobs = args->get_u64("jobs", opts.jobs);
+  opts.shrink = args->get_bool("shrink", opts.shrink);
+  opts.shrink_budget = args->get_u64("shrink_budget", opts.shrink_budget);
+  opts.tripwire = args->get_bool("tripwire", opts.tripwire);
+  if (args->has("oracle")) {
+    opts.only_oracles = split_list(args->get_string("oracle", ""));
+  }
+  if (args->has("bench")) {
+    opts.sample.benchmarks = split_list(args->get_string("bench", ""));
+  }
+  if (args->has("instructions")) {
+    opts.sample.instruction_budgets = {args->get_u64("instructions", 0)};
+  }
+  if (args->has("warmup")) {
+    opts.sample.warmups = {args->get_u64("warmup", 0)};
+  }
+  if (args->has("trial")) {
+    const std::uint64_t t = args->get_u64("trial", 0);
+    std::cout << diff::trial_point(opts, t).repro() << "\n";
+    return 0;
   }
 
   try {

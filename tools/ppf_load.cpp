@@ -12,44 +12,44 @@
 //
 // Exit 0 only when every request succeeded and no byte mismatch was
 // seen — the soak gate CI relies on.
-#include <algorithm>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "serve/load.hpp"
 #include "serve/protocol.hpp"
+#include "sim/config_apply.hpp"
 
 using namespace ppf;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " port=N [key=value ...]\n\n"
-      << "keys:\n"
-      << "  host=ADDR       — daemon address (default 127.0.0.1)\n"
-      << "  port=N          — daemon port (required)\n"
-      << "  connections=N   — concurrent connections (default 4)\n"
-      << "  requests=N      — total run requests (default 100)\n"
-      << "  config=STR      — one config string (same key=value grammar "
-         "as ppf_batch; quote the spaces)\n"
-      << "  configs=A;B;... — several config strings, ';'-separated, "
-         "cycled round-robin (overrides config=)\n"
-      << "  verify=0|1      — byte-identity check across repeats "
-         "(default 1)\n"
-      << "  stats=0|1       — fetch and print the daemon stats snapshot "
-         "after the run (default 1)\n"
-      << "  shutdown=0|1    — send the shutdown verb when done "
-         "(default 0)\n"
-      << "  warmup_requests=N — exclude the first N requests from the "
-         "latency percentiles (default 0)\n"
-      << "  scrape=VERB     — one-shot mode: send VERB (metrics, stats, "
-         "dump, shutdown) and print the response; for metrics and dump "
-         "the raw body is printed\n";
-  return 2;
-}
+const std::vector<sim::DriverKey> kKeys = {
+    {"host", "daemon address (default 127.0.0.1)", sim::kText},
+    {"port", "daemon port (required)", sim::ints(1, 65535)},
+    {"connections", "concurrent connections (default 4)",
+     sim::ints(0, 1024)},
+    {"requests", "total run requests (default 100)", sim::kCount},
+    {"config", "one config string, in ppf_batch's key=value grammar; quote "
+               "the spaces",
+     sim::kText},
+    {"configs", "several config strings, ';'-separated, cycled round-robin "
+                "(overrides config=)",
+     sim::kText},
+    {"verify", "byte-identity check across repeats (default 1)", sim::kBool},
+    {"stats", "fetch and print the daemon stats snapshot after the run "
+              "(default 1)",
+     sim::kBool},
+    {"shutdown", "send the shutdown verb when done (default 0)", sim::kBool},
+    {"warmup_requests", "exclude the first N requests from the latency "
+                        "percentiles (default 0)",
+     sim::kCount},
+    {"scrape", "one-shot mode: send VERB (metrics, stats, dump, shutdown) "
+               "and print the response; for metrics and dump the raw body",
+     sim::kText},
+};
 
 /// scrape= one-shot: fetch a single verb instead of running a load.
 /// metrics/dump responses carry their payload in a "body" field — print
@@ -90,51 +90,27 @@ int run_scrape(const serve::LoadOptions& opts, const std::string& verb) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ParamMap params;
-  try {
-    params = ParamMap::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (params.has("help")) return usage(argv[0]);
-  const std::vector<std::string> known = {
-      "host",   "port",  "connections", "requests", "config",
-      "configs", "verify", "stats",      "shutdown", "warmup_requests",
-      "scrape"};
-  for (const auto& [k, v] : params.entries()) {
-    if (std::find(known.begin(), known.end(), k) == known.end()) {
-      std::cerr << "unknown key: " << k << "\n\n";
-      return usage(argv[0]);
-    }
-  }
+  sim::CommandLine cli(kKeys);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
+  if (!args->has("port")) return cli.usage_error("port= is required");
 
   serve::LoadOptions opts;
-  std::string scrape;
-  try {
-    opts.host = params.get_string("host", "127.0.0.1");
-    opts.port = static_cast<std::uint16_t>(params.get_u64("port", 0));
-    opts.connections = params.get_u64("connections", 4);
-    opts.requests = params.get_u64("requests", 100);
-    opts.verify_bytes = params.get_bool("verify", true);
-    opts.fetch_stats = params.get_bool("stats", true);
-    opts.send_shutdown = params.get_bool("shutdown", false);
-    opts.warmup_requests = params.get_u64("warmup_requests", 0);
-    scrape = params.get_string("scrape", "");
-    const std::string many = params.get_string("configs", "");
-    if (!many.empty()) {
-      opts.configs = split_list(many, ';');
-    } else {
-      opts.configs.push_back(params.get_string(
-          "config", "bench=mcf filter=pc instructions=200000"));
-    }
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (opts.port == 0) {
-    std::cerr << "port= is required\n\n";
-    return usage(argv[0]);
+  opts.host = args->get_string("host", "127.0.0.1");
+  opts.port = static_cast<std::uint16_t>(args->get_u64("port", 0));
+  opts.connections = args->get_u64("connections", 4);
+  opts.requests = args->get_u64("requests", 100);
+  opts.verify_bytes = args->get_bool("verify", true);
+  opts.fetch_stats = args->get_bool("stats", true);
+  opts.send_shutdown = args->get_bool("shutdown", false);
+  opts.warmup_requests = args->get_u64("warmup_requests", 0);
+  const std::string scrape = args->get_string("scrape", "");
+  const std::string many = args->get_string("configs", "");
+  if (!many.empty()) {
+    opts.configs = split_list(many, ';');
+  } else {
+    opts.configs.push_back(args->get_string(
+        "config", "bench=mcf filter=pc instructions=200000"));
   }
   if (!scrape.empty()) return run_scrape(opts, scrape);
 

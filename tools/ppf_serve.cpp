@@ -16,10 +16,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,9 +27,9 @@
 #include "common/shutdown.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
-#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "sim/config_apply.hpp"
 
 using namespace ppf;
 
@@ -54,94 +54,67 @@ extern "C" void crash_handler(int sig) {
   ::raise(sig);
 }
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [key=value ...]\n\n"
-      << "keys:\n"
-      << "  host=ADDR        — bind address (default 127.0.0.1)\n"
-      << "  port=N           — TCP port; 0 picks an ephemeral one "
-         "(default 0)\n"
-      << "  jobs=N           — simulation worker threads (default: "
-         "hardware threads)\n"
-      << "  queue_depth=N    — max queued+in-flight runs before "
-         "queue_full rejections (default 64)\n"
-      << "  memo=0|1         — serve repeated identical configs from the "
-         "result memo (default 1)\n"
-      << "  trace_cache_mb=N — LRU byte budget for resident trace arenas "
-         "(default 0 = unbounded)\n"
-      << "  snapshot_cache_mb=N — LRU budget for warmup snapshots "
-         "(default 0 = unbounded)\n"
-      << "  instructions=N   — measurement window for configs that do "
-         "not set instructions= (default 1000000)\n"
-      << "  prof=0|1         — wall-clock profiler probes on serve and "
-         "runlab hot paths (default 0)\n"
-      << "  span_buffer=N    — per-connection request-span ring capacity; "
-         "0 disables spans (default 4096)\n"
-      << "  flight_recorder=N — flight-recorder span ring capacity; 0 "
-         "disables it (default 2048)\n"
-      << "  flight_out=PATH  — where CheckViolation / fatal-signal flight "
-         "dumps land (default ppf_serve_flight.jsonl)\n"
-      << "  span_out=PATH    — write the whole soak's request spans as a "
-         "Chrome/Perfetto trace on exit (default off)\n"
-      << "\nprotocol verbs (docs/SERVE.md):\n";
-  for (const serve::VerbDoc& d : serve::verb_docs()) {
-    std::cerr << "  " << d.verb << " — " << d.help << "\n";
-  }
-  std::cerr << "\nerror codes:\n";
-  for (const serve::ErrorCodeDoc& d : serve::error_code_docs()) {
-    std::cerr << "  " << d.code << " — " << d.help << "\n";
-  }
-  return 2;
-}
+const std::vector<sim::DriverKey> kKeys = {
+    {"host", "bind address (default 127.0.0.1)", sim::kText},
+    {"port", "TCP port; 0 picks an ephemeral one (default 0)",
+     sim::ints(0, 65535)},
+    {"jobs", "simulation worker threads (default 0: one per hardware "
+             "thread)",
+     sim::ints(0, 1024)},
+    {"queue_depth", "max queued+in-flight runs before queue_full "
+                    "rejections (default 64)",
+     sim::ints(1, sim::kU64)},
+    {"memo", "serve repeated identical configs from the result memo "
+             "(default 1)",
+     sim::kBool},
+    {"trace_cache_mb", "LRU byte budget for resident trace arenas "
+                       "(default 0: unbounded)",
+     sim::ints(0, sim::k2To20)},
+    {"snapshot_cache_mb", "LRU budget for warmup snapshots (default 0: "
+                          "unbounded)",
+     sim::ints(0, sim::k2To20)},
+    {"instructions", "measurement window for configs that do not set "
+                     "instructions= (default 1000000)",
+     sim::kCount},
+    {"prof", "wall-clock profiler probes on serve and runlab hot paths "
+             "(default 0)",
+     sim::kBool},
+    {"span_buffer", "per-connection request-span ring capacity; 0 disables "
+                    "spans (default 4096)",
+     sim::ints(0, sim::k2To20)},
+    {"flight_recorder", "flight-recorder span ring capacity; 0 disables it "
+                        "(default 2048)",
+     sim::ints(0, sim::k2To20)},
+    {"flight_out", "where CheckViolation and fatal-signal flight dumps land "
+                   "(default ppf_serve_flight.jsonl)",
+     sim::kText},
+    {"span_out", "write the whole soak's request spans as a Chrome/Perfetto "
+                 "trace to PATH on exit (default off)",
+     sim::kText},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ParamMap params;
-  try {
-    params = ParamMap::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (params.has("help")) return usage(argv[0]);
-  const std::vector<std::string> known = {
-      "host",           "port", "jobs",     "queue_depth", "memo",
-      "trace_cache_mb", "snapshot_cache_mb", "instructions",
-      "prof",           "span_buffer", "flight_recorder", "flight_out",
-      "span_out"};
-  for (const auto& [k, v] : params.entries()) {
-    if (std::find(known.begin(), known.end(), k) == known.end()) {
-      std::cerr << "unknown key: " << k << "\n\n";
-      return usage(argv[0]);
-    }
-  }
+  sim::CommandLine cli(kKeys);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
 
   serve::ServiceConfig cfg;
   serve::ServerOptions net;
-  try {
-    net.host = params.get_string("host", "127.0.0.1");
-    net.port = static_cast<std::uint16_t>(params.get_u64("port", 0));
-    cfg.workers = params.get_u64("jobs", 0);
-    cfg.queue_depth = params.get_u64("queue_depth", 64);
-    cfg.memo = params.get_bool("memo", true);
-    cfg.trace_cache_mb = params.get_u64("trace_cache_mb", 0);
-    cfg.snapshot_cache_mb = params.get_u64("snapshot_cache_mb", 0);
-    cfg.default_instructions = params.get_u64("instructions", 1'000'000);
-    cfg.prof = params.get_bool("prof", false);
-    cfg.span_buffer = params.get_u64("span_buffer", 4096);
-    cfg.flight_recorder = params.get_u64("flight_recorder", 2048);
-    cfg.flight_out =
-        params.get_string("flight_out", "ppf_serve_flight.jsonl");
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  const std::string span_out = params.get_string("span_out", "");
-  if (cfg.queue_depth == 0) {
-    std::cerr << "queue_depth must be at least 1\n";
-    return usage(argv[0]);
-  }
+  net.host = args->get_string("host", "127.0.0.1");
+  net.port = static_cast<std::uint16_t>(args->get_u64("port", 0));
+  cfg.workers = args->get_u64("jobs", 0);
+  cfg.queue_depth = args->get_u64("queue_depth", 64);
+  cfg.memo = args->get_bool("memo", true);
+  cfg.trace_cache_mb = args->get_u64("trace_cache_mb", 0);
+  cfg.snapshot_cache_mb = args->get_u64("snapshot_cache_mb", 0);
+  cfg.default_instructions = args->get_u64("instructions", 1'000'000);
+  cfg.prof = args->get_bool("prof", false);
+  cfg.span_buffer = args->get_u64("span_buffer", 4096);
+  cfg.flight_recorder = args->get_u64("flight_recorder", 2048);
+  cfg.flight_out = args->get_string("flight_out", "ppf_serve_flight.jsonl");
+  const std::string span_out = args->get_string("span_out", "");
 
   try {
     serve::Service service(cfg);

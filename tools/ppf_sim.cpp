@@ -11,110 +11,56 @@
 //   ppf_sim help=1
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "check/check.hpp"
 #include "common/config.hpp"
-#include "obs/export.hpp"
+#include "obs/recorder.hpp"
 #include "sim/config_apply.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
-#include "workload/benchmarks.hpp"
+#include "workload/trace.hpp"
 #include "workload/trace_binary.hpp"
 
 using namespace ppf;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " [bench=<name>|trace=<file>] "
-            << "[csv=0|1] [config=0|1] [key=value ...]\n\n"
-            << "observability keys (see docs/OBSERVABILITY.md):\n"
-            << "  obs=0|1          — enable the metrics/trace recorder "
-               "(implied by the keys below)\n"
-            << "  trace_out=PATH (or --trace-out=PATH) — write the prefetch "
-               "lifecycle trace: Chrome/Perfetto trace_event JSON, or JSONL "
-               "(ppf.trace.v1) when PATH ends in .jsonl\n"
-            << "  timeseries_out=PATH — write interval metric deltas "
-               "(ppf.timeseries.v1 JSON)\n"
-            << "  sample_interval=N — cycles per time-series row (default "
-               "50000 when timeseries_out is set)\n\nworkloads:";
-  for (const std::string& n : workload::benchmark_names()) {
-    std::cerr << " " << n;
-  }
-  std::cerr << "\n  or a mix of 2 to " << workload::kMaxMixPrograms
-            << " of them, A+B[+...]/SLICE, switching every SLICE "
-               "instructions (filter=static profiles A)\n"
-            << "trace=FILE reads a ppftrace text or ppfb binary capture\n"
-            << "\nmachine keys:\n";
-  sim::print_override_keys(std::cerr);
-  return 2;
-}
+const std::vector<sim::DriverKey> kKeys = {
+    {"bench", "workload (default mcf; filter=static profiles a mix's first "
+              "program)",
+     sim::benchmarks(1)},
+    {"trace", "run a captured ppftrace text or ppfb binary file instead",
+     sim::kText},
+    {"csv", "print the result as CSV (default 0)", sim::kBool},
+    {"config", "echo the machine config first (default 1)", sim::kBool},
+    {"obs", "enable the metrics/trace recorder (implied by the keys below)",
+     sim::kBool},
+    {"trace_out", "write the prefetch lifecycle trace to PATH: "
+                  "Chrome/Perfetto trace_event JSON, or ppf.trace.v1 lines "
+                  "when PATH ends in .jsonl",
+     sim::kText},
+    {"timeseries_out", "write interval metric deltas to PATH "
+                       "(ppf.timeseries.v1 JSON)",
+     sim::kText},
+    {"sample_interval", "cycles per time-series row (default 50000 when "
+                        "timeseries_out is set)",
+     sim::kCount},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Accept the GNU-style spelling for the trace sink so scripts can say
-  // --trace-out=trace.json; everything else is key=value.
-  std::vector<std::string> arg_storage(argv, argv + argc);
-  std::vector<char*> arg_ptrs;
-  for (std::string& a : arg_storage) {
-    const std::string prefix = "--trace-out=";
-    if (a.rfind(prefix, 0) == 0) {
-      a = "trace_out=" + a.substr(prefix.size());
-    }
-    arg_ptrs.push_back(a.data());
-  }
-  argv = arg_ptrs.data();
-
-  ParamMap params;
-  try {
-    params = ParamMap::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (params.has("help")) return usage(argv[0]);
-
-  // Reject typos up front, naming the offending key next to the full
-  // accepted list — a mistyped knob must never silently run the default.
-  const std::vector<std::string>& driver_keys = sim::ppf_sim_driver_keys();
-  const std::string unknown = sim::first_unknown_key(params, driver_keys);
-  if (!unknown.empty()) {
-    std::cerr << "unknown key: " << unknown << "\n\n";
-    return usage(argv[0]);
-  }
-
-  const std::string bench = params.get_string("bench", "mcf");
-  const std::string trace_path = params.get_string("trace", "");
-  const bool csv = params.get_bool("csv", false);
-  const bool show_config = params.get_bool("config", true);
-  const std::string trace_out = params.get_string("trace_out", "");
-  const std::string timeseries_out = params.get_string("timeseries_out", "");
-  std::uint64_t sample_interval = 0;
-  bool obs_on = false;
-  try {
-    sample_interval = params.get_u64("sample_interval", 0);
-    obs_on = params.get_bool("obs", false) || !trace_out.empty() ||
-             !timeseries_out.empty() || sample_interval > 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (!timeseries_out.empty() && sample_interval == 0) {
-    sample_interval = 50'000;
-  }
-
   sim::SimConfig cfg = sim::SimConfig::paper_default();
   cfg.max_instructions = 1'000'000;
-  try {
-    sim::apply_overrides(cfg, params, driver_keys);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  cfg.obs.enabled = obs_on;
-  cfg.obs.sample_interval = sample_interval;
+  sim::CommandLine cli(kKeys, &cfg);
+  const std::optional<ParamMap> args = cli.parse(argc, argv);
+  if (!args) return 2;
+  const std::string bench = args->get_string("bench", "mcf");
+  const std::string trace_path = args->get_string("trace", "");
+  const sim::ObservationSinks sinks = sim::ObservationSinks::read(*args, cfg);
 
   std::ifstream trace_file;
   std::unique_ptr<workload::TraceSource> source;
@@ -132,13 +78,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     cfg.warmup_instructions = 0;  // finite traces: measure everything
-  } else {
-    try {
-      (void)workload::parse_benchmark_name(bench);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return usage(argv[0]);
-    }
   }
 
   sim::SimResult r;
@@ -161,39 +100,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Observability sinks. A path ending in .jsonl selects the line-based
-  // ppf.trace.v1 format; anything else gets Chrome/Perfetto trace_event
-  // JSON (load it at ui.perfetto.dev or chrome://tracing).
-  if (r.observation != nullptr) {
-    const obs::ExportMeta meta{r.workload, r.filter_name};
-    if (!trace_out.empty()) {
-      std::ofstream f(trace_out);
-      if (!f) {
-        std::cerr << "cannot open " << trace_out << " for writing\n";
-        return 1;
-      }
-      const bool jsonl = trace_out.size() >= 6 &&
-                         trace_out.rfind(".jsonl") == trace_out.size() - 6;
-      if (jsonl) {
-        obs::write_trace_jsonl(f, *r.observation, meta);
-      } else {
-        obs::write_trace_chrome(f, *r.observation, meta);
-      }
-    }
-    if (!timeseries_out.empty()) {
-      std::ofstream f(timeseries_out);
-      if (!f) {
-        std::cerr << "cannot open " << timeseries_out << " for writing\n";
-        return 1;
-      }
-      obs::write_timeseries_json(f, *r.observation, meta);
-    }
+  // Observability sinks: load the Chrome/Perfetto trace at
+  // ui.perfetto.dev or chrome://tracing.
+  try {
+    sinks.write(r);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
 
-  if (csv) {
+  if (args->get_bool("csv", false)) {
     sim::result_table(r).write_csv(std::cout);
   } else {
-    if (show_config) {
+    if (args->get_bool("config", true)) {
       sim::print_config(std::cout, cfg);
       std::cout << "\n";
     }
