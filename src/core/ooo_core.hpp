@@ -67,9 +67,10 @@ class OooCore final : public Pipeline<OooCore<Mem>> {
   /// arena mode `trace` may run over a longer arena than other's.
   OooCore(const OooCore& other, Mem& mem, workload::TraceSource& trace);
 
-  /// Clones only onto another Mem (returns nullptr for any other
-  /// DataMemory/InstMemory, and when dmem/imem are not the same object)
-  /// — the caller then falls back to the cold path.
+  /// Clones only onto another Mem: returns nullptr for any other
+  /// DataMemory/InstMemory, and when dmem and imem are not the same
+  /// object. run_from_snapshot's PPF_CHECK fails on that nullptr;
+  /// nothing falls back to the cold path.
   [[nodiscard]] std::unique_ptr<CoreEngine> clone_rebound(
       DataMemory& dmem, InstMemory& imem,
       workload::TraceSource& trace) const override;
