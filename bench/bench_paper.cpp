@@ -3,7 +3,9 @@
 // energy, phases, seeds, sensitivity, models) from one deduplicated
 // sweep.
 //
-//   ./bench_paper [fig=all|NAME,NAME,...] [jobs=N] [key=value ...]
+//   ./bench_paper jobs=4 > figures.txt
+//   ./bench_paper fig=fig4,fig6 l1d_kb=32
+//   ./bench_paper help=1          # the keys, then the machine keys
 //
 // Each figure or study is one row of `figures()`, whose printer reads
 // every result it needs through `runs(cfg, bench)`. bench_paper calls

@@ -2,8 +2,9 @@
 // every registered hardware prefetcher, over the ten built-in workloads,
 // ranked by mean IPC with the pollution split alongside.
 //
-//   ./bench_tournament [jobs=N] [out=FILE] [filters=a,b] [prefetchers=c,d]
-//                      [benches=e,f] [key=value ...]
+//   ./bench_tournament filters=none,pa,perceptron prefetchers=nsp,pmp
+//                      benches=mcf,gzip jobs=8 out=tournament.json
+//   ./bench_tournament help=1     # the keys, then the machine keys
 //
 // The grid defaults to the full registry x registry x benchmark cube;
 // the axis keys cut it down (the CI smoke job runs a 3x2x2 corner at two
