@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
        {"filters", "comma list of filter keys, as the machine key filter= "
                    "takes (default every registered filter)",
         sim::kText},
-       {"prefetchers", "the prefetcher axis (default every registered "
-                       "prefetcher)",
-        sim::kPrefetchers},
+       {"prefetchers", "comma list of prefetcher keys (default every "
+                       "registered prefetcher)",
+        sim::kText},
        {"benches", "the benchmark axis (default all ten)",
         sim::benchmarks(sim::kU64)}},
       &spec.base);

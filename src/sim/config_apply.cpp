@@ -37,6 +37,7 @@ std::vector<std::string> enum_names() {
   return out;
 }
 
+const Domain kPrefetchers{Kind::Prefetchers};
 const Domain kReplacement{Kind::Replacement};
 
 /// Appends `v` as override text; std::to_chars gives doubles their
@@ -409,9 +410,11 @@ void print_config(std::ostream& os, const SimConfig& cfg) {
 namespace {
 
 /// `--key-name=value` reads as key_name=value and `--flag` as flag=1;
-/// any other argument stands as given.
+/// any other argument, `--` and `--=value` among them, stands as given.
 std::string respell(std::string_view arg) {
-  if (arg.substr(0, 2) != "--") return std::string(arg);
+  if (arg.size() < 3 || arg.substr(0, 2) != "--" || arg[2] == '=') {
+    return std::string(arg);
+  }
   arg.remove_prefix(2);
   const std::size_t eq = arg.find('=');
   std::string key(arg.substr(0, eq));

@@ -97,7 +97,6 @@ inline constexpr std::uint64_t k2To20 = std::uint64_t{1} << 20;
 inline constexpr Domain kCount = ints(0, kU64);
 inline constexpr Domain kBool{Domain::Kind::Bool};
 inline constexpr Domain kText{Domain::Kind::Text};
-inline constexpr Domain kPrefetchers{Domain::Kind::Prefetchers};
 
 struct FieldAccess {
   void (*set)(SimConfig& cfg, const ConfigValue& value) = nullptr;

@@ -153,8 +153,9 @@ TEST(ConfigApply, LineBytesPropagatesEverywhere) {
   EXPECT_EQ(cfg.core.ifetch_line_bytes, 64u);
 }
 
-/// A driver's key table with the observation keys, as ppf_sim and
-/// ppf_batch list them.
+/// A driver's key table with the observation keys, shaped like ppf_sim's
+/// and ppf_batch's. The drivers' own tables are held to these keys by
+/// cli.obs_sinks_reach_both_drivers and cli.ppf_sim_rejects_batch_keys.
 const std::vector<DriverKey> kObsDriver = {
     {"bench", "", kText},
     {"obs", "", kBool},
@@ -232,9 +233,11 @@ TEST(CommandLine, DashedSpellingsReadAsKeys) {
   // One key, two spellings: still a duplicate.
   EXPECT_NE(read_error(cli, {"obs=1", "--obs"}).find("duplicate key 'obs'"),
             std::string::npos);
-  // A single dash is no spelling of a key.
-  EXPECT_NE(read_error(cli, {"-obs"}).find("expected key=value"),
-            std::string::npos);
+  // A single dash is no spelling of a key, and a bare -- names no key:
+  // the message quotes the argument as typed.
+  EXPECT_EQ(read_error(cli, {"-obs"}), "expected key=value, got '-obs'");
+  EXPECT_EQ(read_error(cli, {"--"}), "expected key=value, got '--'");
+  EXPECT_EQ(read_error(cli, {"--=x"}), "unknown key: --");
 }
 
 TEST(CommandLine, ValuesAreCheckedAgainstTheirDomains) {
